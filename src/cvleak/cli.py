@@ -13,8 +13,10 @@ section names is accepted as an alternative encoding.  Units: variances in
 shot-noise units, distances in km, rates in bits per channel use; epsilon
 and beta are fractions (0.01, not "1%").
 
-Exit codes: 0 ok, 1 validation-suite failure, 2 configuration error,
-3 I/O error.
+Exit codes: 0 ok, 1 validation-suite failure, 2 configuration error
+(including non-finite or out-of-domain parameters), 3 I/O error,
+4 computation failure (the covariance model was unphysical or the
+purification solver did not converge at the requested point).
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .gaussian import format_matrix_snapshot, parse_matrix_snapshot
+from .gaussian import (
+    PhysicalityError,
+    format_matrix_snapshot,
+    parse_matrix_snapshot,
+)
 from .keyrate import key_rate
 from .optimize import (
     max_tolerable_k,
@@ -36,6 +42,7 @@ from .optimize import (
     optimize_vm,
     secure_distance,
 )
+from .purification import SolverError
 from .scenarios import (
     ChannelModel,
     MultimodeLeakageScenario,
@@ -43,6 +50,7 @@ from .scenarios import (
     ProtocolChoice,
     ScenarioError,
     distance_to_transmittance,
+    with_parameter,
 )
 from . import validation
 
@@ -310,26 +318,9 @@ def build_sweep(cfg: dict, scenario) -> SweepSpec:
     )
 
 
-def _apply_axis(scenario, channel, spec: SweepSpec, value: float):
-    if spec.axis == "distance_km":
-        eta = distance_to_transmittance(value,
-                                        channel.attenuation_db_per_km)
-        return scenario, dataclasses.replace(channel, eta=eta)
-    if spec.axis in _CHANNEL_AXES:
-        return scenario, dataclasses.replace(channel, **{spec.axis: value})
-    if spec.axis == "v_s" and isinstance(scenario, MultimodeLeakageScenario):
-        tied = all(v == scenario.v_s for v in scenario.leakage_variances)
-        updated = dataclasses.replace(scenario, v_s=value)
-        if tied:
-            updated = dataclasses.replace(
-                updated, leakage_variances=(value,) * scenario.n_modes)
-        return updated, channel
-    return dataclasses.replace(scenario, **{spec.axis: value}), channel
-
-
 def evaluate_sweep_point(scenario, channel, protocol, spec: SweepSpec,
                          value: float) -> dict:
-    sc, ch = _apply_axis(scenario, channel, spec, value)
+    sc, ch = with_parameter(scenario, channel, spec.axis, value)
     row: dict = {spec.axis: value}
     if spec.quantity == "distance":
         result = secure_distance(sc, protocol, ch,
@@ -339,14 +330,11 @@ def evaluate_sweep_point(scenario, channel, protocol, spec: SweepSpec,
         return row
     opt_v_s = opt_v_m = None
     if spec.optimize_v_s:
-        outer = optimize_squeezing(sc, ch, protocol)
-        opt_v_s = outer.x
-        sc, _ = _apply_axis(sc, ch, dataclasses.replace(spec, axis="v_s"),
-                            opt_v_s)
+        opt_v_s = optimize_squeezing(sc, ch, protocol).x
+        sc, ch = with_parameter(sc, ch, "v_s", opt_v_s)
     if spec.optimize_v_m or spec.optimize_v_s:
-        inner = optimize_vm(sc, ch, protocol)
-        opt_v_m = inner.x
-        sc = dataclasses.replace(sc, v_m=opt_v_m)
+        opt_v_m = optimize_vm(sc, ch, protocol).x
+        sc, ch = with_parameter(sc, ch, "v_m", opt_v_m)
     report = key_rate(sc, ch, protocol)
     row.update({"rate": report.rate, "i_ab": report.i_ab,
                 "eve_information": report.eve_information,
@@ -588,6 +576,9 @@ def main(argv=None) -> int:
     except IOError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except (PhysicalityError, SolverError) as exc:
+        print(f"computation error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

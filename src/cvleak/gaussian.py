@@ -15,7 +15,7 @@ functions safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -71,9 +71,6 @@ class GaussianState:
     cm : ndarray
         Symmetric 2N x 2N covariance matrix in SNU, quadrature ordering
         (x1, p1, ..., xN, pN).
-    mean : ndarray
-        Length-2N mean vector.  Always zero in this package; carried for
-        generality.
 
     Direct construction verifies the uncertainty principle.  The operations
     in this module skip that eigenvalue check on their outputs
@@ -85,7 +82,6 @@ class GaussianState:
 
     mode_labels: tuple[str, ...]
     cm: np.ndarray
-    mean: np.ndarray = field(default=None)  # type: ignore[assignment]
     check_physicality: InitVar[bool] = True
 
     def __post_init__(self, check_physicality: bool = True):
@@ -103,17 +99,9 @@ class GaussianState:
             if np.max(np.abs(cm - cm.T)) > SYMMETRY_RTOL * scale:
                 raise PhysicalityError("covariance matrix is not symmetric")
         cm = 0.5 * (cm + cm.T)  # remove roundoff asymmetry
-        mean = self.mean
-        if mean is None:
-            mean = np.zeros(2 * n)
-        mean = np.array(mean, dtype=float)
-        if mean.shape != (2 * n,):
-            raise ModeError("mean vector length does not match mode count")
         cm.flags.writeable = False
-        mean.flags.writeable = False
         object.__setattr__(self, "mode_labels", labels)
         object.__setattr__(self, "cm", cm)
-        object.__setattr__(self, "mean", mean)
         if n > 0 and check_physicality:
             nu_min = np.min(_symplectic_eigenvalues(cm))
             if nu_min < 1.0 - physicality_tolerance(cm):
@@ -123,7 +111,7 @@ class GaussianState:
 
     @classmethod
     def empty(cls) -> "GaussianState":
-        return cls(mode_labels=(), cm=np.zeros((0, 0)), mean=np.zeros(0))
+        return cls(mode_labels=(), cm=np.zeros((0, 0)))
 
     @property
     def n_modes(self) -> int:

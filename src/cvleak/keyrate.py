@@ -298,7 +298,13 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
         # tolerates a proportionally larger offset (the model error stays
         # O(1 - t1)) and needs one, since the modulating EPR variance
         # v_m / (1 - t1) would otherwise exceed what float64 entropy
-        # computations can support.
+        # computations can support.  The offset must stay below 0.01
+        # (build_eb_premod's window), so v_m must stay below 1e5; the bound
+        # is stated on v_m, the parameter the caller set.
+        if not scenario.v_m < 1e5:
+            raise ScenarioError(
+                f"premodulation collective rates need v_m < 1e5, "
+                f"got {scenario.v_m}")
         t1 = 1.0 - max(1e-6, scenario.v_m / 1e7)
         return build_eb_premod(scenario.v_s, scenario.v_m, scenario.eta_e,
                                channel, t1=t1, v_es=scenario.v_es)

@@ -1,9 +1,12 @@
 """Parameter optimization and security-boundary root finding.
 
 Golden-section search for the unimodal one-dimensional maximizations
-(modulation variance, signal squeezing with nested modulation) and interval
-bisection for zero crossings (secure distance, maximal tolerable leakage
-ratio).  All searches are deterministic for identical inputs.
+(modulation variance, signal squeezing with nested modulation) and a
+doubling bracket followed by bisection for zero crossings (secure distance,
+maximal tolerable leakage ratio).  Every probed value enters the scenario
+and channel through :func:`~cvleak.scenarios.with_parameter`.  Brackets and
+tolerances are the module constants below.  All searches are deterministic
+for identical inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .scenarios import (
     MultimodeLeakageScenario,
     ProtocolChoice,
     ScenarioError,
-    distance_to_transmittance,
+    with_parameter,
 )
 
 VM_BRACKET = (1e-3, 1e3)
@@ -106,136 +109,112 @@ def bisect_zero(f, lo: float, hi: float, tol: float,
                               bracket=(lo, hi), converged=True)
 
 
-def _with_v_m(scenario, v_m: float):
-    return dataclasses.replace(scenario, v_m=v_m)
-
-
-def _with_v_s(scenario, v_s: float, tie_leakage: bool):
-    if isinstance(scenario, MultimodeLeakageScenario) and tie_leakage:
-        return dataclasses.replace(
-            scenario, v_s=v_s,
-            leakage_variances=(v_s,) * scenario.n_modes)
-    return dataclasses.replace(scenario, v_s=v_s)
-
-
-def _leakage_tied(scenario) -> bool:
-    if not isinstance(scenario, MultimodeLeakageScenario):
-        return False
-    return all(v == scenario.v_s for v in scenario.leakage_variances)
-
-
 def optimize_vm(scenario, channel: ChannelModel, protocol: ProtocolChoice,
-                bracket: tuple[float, float] = VM_BRACKET,
-                tol: float = VM_TOL) -> OptimizationResult:
+                bracket: tuple[float, float] = VM_BRACKET
+                ) -> OptimizationResult:
     """Maximize the key rate over the modulation variance.
 
-    With perfect post-processing the collective rate grows monotonically
-    in v_m and the search lands at the upper bracket edge; any beta < 1
-    produces an interior optimum.  An everywhere-negative objective still
-    converges and reports the (negative) best value.
+    Golden-section search on ``bracket`` to VM_TOL.  With perfect
+    post-processing the collective rate grows monotonically in v_m and the
+    search lands at the upper bracket edge; any beta < 1 produces an
+    interior optimum.  An everywhere-negative objective still converges and
+    reports the (negative) best value.
     """
     def objective(v_m):
-        return key_rate(_with_v_m(scenario, v_m), channel, protocol).rate
+        sc, ch = with_parameter(scenario, channel, "v_m", v_m)
+        return key_rate(sc, ch, protocol).rate
 
-    return golden_section_max(objective, bracket[0], bracket[1], tol)
+    return golden_section_max(objective, bracket[0], bracket[1], VM_TOL)
 
 
 def optimize_squeezing(scenario, channel: ChannelModel,
                        protocol: ProtocolChoice,
-                       v_bracket: tuple[float, float] = (VS_MIN, 1.0),
-                       tol: float = VS_TOL,
-                       tie_leakage: bool | None = None,
                        strong_modulation: bool = False) -> OptimizationResult:
-    """Maximize the key rate over signal squeezing.
+    """Maximize the key rate over signal squeezing v_s in [VS_MIN, 1].
 
-    The inner modulation variance is re-optimized at every candidate v_s
-    (joint optimization), except on the strong-modulation track where the
-    individual reverse-reconciliation rate is evaluated at a fixed huge
-    modulation instead; on a purely lossy channel that track peaks at
-    v = sqrt(k^2 / (1 + k^2)).
+    Golden-section search to VS_TOL.  The inner modulation variance is
+    re-optimized at every candidate v_s (joint optimization), except on the
+    strong-modulation track where the individual reverse-reconciliation
+    rate is evaluated at a fixed huge modulation instead; on a purely lossy
+    channel that track peaks at v = sqrt(k^2 / (1 + k^2)).
 
-    tie_leakage (default: inferred from the template) keeps the leakage
-    variances equal to the optimized signal variance, matching a source
-    that radiates identical states in every mode.
+    Leakage variances that all equal the template's v_s follow every
+    candidate (see :func:`~cvleak.scenarios.with_parameter`), matching a
+    source that radiates identical states in every mode.
     """
-    if tie_leakage is None:
-        tie_leakage = _leakage_tied(scenario)
+    def objective(v_s):
+        sc, ch = with_parameter(scenario, channel, "v_s", v_s)
+        if strong_modulation:
+            sc, ch = with_parameter(sc, ch, "v_m", STRONG_MODULATION_VM)
+            return key_rate_individual(sc, ch, protocol.direction).rate
+        return optimize_vm(sc, ch, protocol).value
 
-    if strong_modulation:
-        def objective(v_s):
-            sc = _with_v_s(scenario, v_s, tie_leakage)
-            sc = _with_v_m(sc, STRONG_MODULATION_VM)
-            return key_rate_individual(sc, channel, protocol.direction).rate
-    else:
-        def objective(v_s):
-            sc = _with_v_s(scenario, v_s, tie_leakage)
-            return optimize_vm(sc, channel, protocol).value
-
-    return golden_section_max(objective, v_bracket[0], v_bracket[1], tol)
+    return golden_section_max(objective, VS_MIN, 1.0, VS_TOL)
 
 
-def _optimized_rate(scenario, channel, protocol, optimize_v_s,
-                    tie_leakage) -> float:
-    if optimize_v_s:
-        return optimize_squeezing(scenario, channel, protocol,
-                                  tie_leakage=tie_leakage).value
-    return optimize_vm(scenario, channel, protocol).value
+def _expand_and_bisect(f, first: float, cap: float,
+                       tol: float) -> OptimizationResult:
+    """Zero crossing of f in (0, cap], given f(0) > 0.
+
+    Doubles the probe from first (clipped to cap) until f is no longer
+    positive, then bisects the last bracket to tol.  If f is still positive
+    at cap the result is unconverged, with x at the last probe.
+    """
+    lo, hi = 0.0, first
+    f_hi = f(hi)
+    iterations = 0
+    while f_hi > 0.0 and hi < cap:
+        lo, hi = hi, min(2.0 * hi, cap)
+        f_hi = f(hi)
+        iterations += 1
+    if f_hi > 0.0:
+        return OptimizationResult(x=hi, value=f_hi, iterations=iterations,
+                                  bracket=(lo, hi), converged=False)
+    result = bisect_zero(f, lo, hi, tol, f_hi=f_hi)
+    return dataclasses.replace(result, iterations=result.iterations
+                               + iterations)
 
 
 def secure_distance(scenario, protocol: ProtocolChoice,
                     channel_template: ChannelModel,
                     optimize_v_s: bool = False,
-                    tie_leakage: bool | None = None,
-                    tol_km: float = DISTANCE_TOL_KM,
                     d_max: float = DISTANCE_CAP_KM) -> OptimizationResult:
     """Longest fiber length with a positive (optimized) key rate.
 
-    The channel transmittance follows from the template's attenuation; its
-    excess noise is held fixed.  Returns 0 km when the protocol is already
-    insecure at contact, and the probe cap with converged False when the
-    rate is still positive at d_max (the true distance is then only lower
-    bounded).
+    At every probed distance the modulation variance is optimized (and the
+    squeezing too, with optimize_v_s).  The channel transmittance follows
+    from the template's attenuation; its excess noise is held fixed.  The
+    distance is bracketed by doubling from 2 km and bisected to
+    DISTANCE_TOL_KM.  Returns 0 km when the protocol is already insecure at
+    contact, and the probe cap with converged False when the rate is still
+    positive at d_max (the true distance is then only lower bounded).
     """
-    if tie_leakage is None:
-        tie_leakage = _leakage_tied(scenario)
-    att = channel_template.attenuation_db_per_km
-
     def rate_at(d_km):
-        eta = distance_to_transmittance(d_km, att)
-        ch = dataclasses.replace(channel_template, eta=eta)
-        return _optimized_rate(scenario, ch, protocol, optimize_v_s,
-                               tie_leakage)
+        sc, ch = with_parameter(scenario, channel_template, "distance_km",
+                                d_km)
+        if optimize_v_s:
+            return optimize_squeezing(sc, ch, protocol).value
+        return optimize_vm(sc, ch, protocol).value
 
     r0 = rate_at(0.0)
     if r0 <= 0.0:
         return OptimizationResult(x=0.0, value=r0, iterations=0,
                                   bracket=(0.0, 0.0), converged=True)
-    lo, hi = 0.0, 2.0
-    r_hi = rate_at(hi)
-    iterations = 0
-    while r_hi > 0.0 and hi < d_max:
-        lo, hi = hi, min(2.0 * hi, d_max)
-        r_hi = rate_at(hi)
-        iterations += 1
-    if r_hi > 0.0:
-        return OptimizationResult(x=hi, value=r_hi, iterations=iterations,
-                                  bracket=(lo, hi), converged=False)
-    result = bisect_zero(rate_at, lo, hi, tol_km, f_hi=r_hi)
-    return dataclasses.replace(result, iterations=result.iterations
-                               + iterations)
+    return _expand_and_bisect(rate_at, 2.0, d_max, DISTANCE_TOL_KM)
 
 
 def max_tolerable_k(scenario, channel: ChannelModel,
                     protocol: ProtocolChoice,
-                    tol: float = K_TOL, k_cap: float = K_CAP,
-                    optimize_v_m: bool = True,
                     strong_modulation: bool = False) -> OptimizationResult:
     """Zero crossing of the key rate in the leakage ratio k.
 
-    Requires a positive rate at k = 0.  On the strong-modulation pure-loss
-    track the crossing matches the closed form
-    sqrt(v (eta - 2 + v - eta v) / ((eta - 1)(v - 1)^2)).  When the rate
-    stays positive all the way to k_cap the leakage tolerance is
+    Collective rates are evaluated with the modulation variance optimized,
+    individual rates at the scenario's v_m, and the strong-modulation track
+    at a fixed huge v_m.  The ratio is bracketed by doubling from 0.5 up to
+    K_CAP and bisected to K_TOL.  Requires a positive rate at k = 0.  On
+    the strong-modulation pure-loss track the crossing matches the closed
+    form sqrt(v (eta - 2 + v - eta v) / ((eta - 1)(v - 1)^2)).  When the
+    rate stays positive all the way to K_CAP the leakage tolerance is
     effectively unbounded, reported as x = inf with converged False.
     """
     if not isinstance(scenario, MultimodeLeakageScenario):
@@ -243,30 +222,19 @@ def max_tolerable_k(scenario, channel: ChannelModel,
                             "scenario")
 
     def rate_at(k):
-        sc = dataclasses.replace(scenario, k=k)
+        sc, ch = with_parameter(scenario, channel, "k", k)
         if strong_modulation:
-            sc = _with_v_m(sc, STRONG_MODULATION_VM)
-            return key_rate_individual(sc, channel,
-                                       protocol.direction).rate
-        if optimize_v_m and protocol.attack != ATTACK_INDIVIDUAL:
-            return optimize_vm(sc, channel, protocol).value
-        return key_rate(sc, channel, protocol).rate
+            sc, ch = with_parameter(sc, ch, "v_m", STRONG_MODULATION_VM)
+            return key_rate_individual(sc, ch, protocol.direction).rate
+        if protocol.attack != ATTACK_INDIVIDUAL:
+            return optimize_vm(sc, ch, protocol).value
+        return key_rate(sc, ch, protocol).rate
 
     r0 = rate_at(0.0)
     if r0 <= 0.0:
         raise ScenarioError(
             f"rate at k = 0 is {r0}; no positive region to bound")
-    lo, hi = 0.0, 0.5
-    r_hi = rate_at(hi)
-    iterations = 0
-    while r_hi > 0.0 and hi < k_cap:
-        lo, hi = hi, min(2.0 * hi, k_cap)
-        r_hi = rate_at(hi)
-        iterations += 1
-    if r_hi > 0.0:
-        return OptimizationResult(x=math.inf, value=r_hi,
-                                  iterations=iterations,
-                                  bracket=(lo, hi), converged=False)
-    result = bisect_zero(rate_at, lo, hi, tol, f_hi=r_hi)
-    return dataclasses.replace(result, iterations=result.iterations
-                               + iterations)
+    result = _expand_and_bisect(rate_at, 0.5, K_CAP, K_TOL)
+    if not result.converged:
+        return dataclasses.replace(result, x=math.inf)
+    return result

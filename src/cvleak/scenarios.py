@@ -26,6 +26,7 @@ shot-noise units.  Conventions documented here once:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,13 @@ class ScenarioError(ValueError):
     """Raised for parameter values outside the declared domains."""
 
 
+def _require_finite(**values: float) -> None:
+    """Reject NaN and infinity, which slip past every ordered comparison."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ScenarioError(f"{name} must be finite, got {value}")
+
+
 DIRECTION_DR = "DR"
 DIRECTION_RR = "RR"
 ATTACK_INDIVIDUAL = "individual"
@@ -62,6 +70,8 @@ class ChannelModel:
     attenuation_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM
 
     def __post_init__(self):
+        _require_finite(eta=self.eta, epsilon=self.epsilon,
+                        attenuation_db_per_km=self.attenuation_db_per_km)
         if not 0.0 < self.eta <= 1.0:
             raise ScenarioError(f"eta must lie in (0, 1], got {self.eta}")
         if self.epsilon < 0.0:
@@ -87,6 +97,7 @@ class MultimodeLeakageScenario:
     leakage_variances: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
+        _require_finite(v_s=self.v_s, v_m=self.v_m, k=self.k)
         if not 0.0 < self.v_s <= 1.0:
             raise ScenarioError(f"v_s must lie in (0, 1], got {self.v_s}")
         if self.v_m < 0.0:
@@ -94,6 +105,8 @@ class MultimodeLeakageScenario:
         if self.k < 0.0:
             raise ScenarioError(f"k must be >= 0, got {self.k}")
         vl = tuple(float(v) for v in self.leakage_variances)
+        for v in vl:
+            _require_finite(leakage_variances=v)
         if any(v <= 0.0 for v in vl):
             raise ScenarioError("leakage variances must be positive")
         object.__setattr__(self, "leakage_variances", vl)
@@ -117,6 +130,8 @@ class PremodLeakageScenario:
     v_es: float = 1.0
 
     def __post_init__(self):
+        _require_finite(v_s=self.v_s, v_m=self.v_m, eta_e=self.eta_e,
+                        v_es=self.v_es)
         if not 0.0 < self.v_s <= 1.0:
             raise ScenarioError(f"v_s must lie in (0, 1], got {self.v_s}")
         if self.v_m < 0.0:
@@ -177,6 +192,27 @@ def distance_to_transmittance(
     return 10.0 ** (-attenuation_db_per_km * distance_km / 10.0)
 
 
+def with_parameter(scenario, channel: ChannelModel, name: str,
+                   value: float) -> tuple[object, ChannelModel]:
+    """Return (scenario, channel) with one named parameter set to value.
+
+    distance_km sets eta through the channel attenuation; eta and epsilon
+    are channel fields; any other name is a scenario field.  Setting v_s on
+    a multimode scenario whose leakage variances all equal v_s keeps them
+    tied to it (a source radiating identical states in every mode).
+    """
+    if name == "distance_km":
+        eta = distance_to_transmittance(value, channel.attenuation_db_per_km)
+        return scenario, dataclasses.replace(channel, eta=eta)
+    if name in ("eta", "epsilon"):
+        return scenario, dataclasses.replace(channel, **{name: value})
+    changes = {name: value}
+    if (name == "v_s" and isinstance(scenario, MultimodeLeakageScenario)
+            and all(v == scenario.v_s for v in scenario.leakage_variances)):
+        changes["leakage_variances"] = (value,) * scenario.n_modes
+    return dataclasses.replace(scenario, **changes), channel
+
+
 def channel_output_variance(v_in: float, channel: ChannelModel) -> float:
     """Quadrature variance after the untrusted channel.
 
@@ -211,8 +247,7 @@ def add_correlated_modulation(state: GaussianState,
         wx[2 * i] = w_x
         wp[2 * i + 1] = w_p
     cm = state.cm + v_m * (np.outer(wx, wx) + np.outer(wp, wp))
-    return GaussianState(state.mode_labels, cm, state.mean,
-                         check_physicality=False)
+    return GaussianState(state.mode_labels, cm, check_physicality=False)
 
 
 def apply_noisy_channel(state: GaussianState, mode: str, channel: ChannelModel,

@@ -176,6 +176,60 @@ attack = individual
         assert main(["rate", "--config", cfg]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("v_m", "nan"), ("v_m", "inf"), ("epsilon", "nan")])
+    def test_rate_non_finite_exits_2(self, tmp_path, capsys, key, value):
+        line = {"v_m": "v_m = 4.0", "epsilon": "epsilon = 0.0"}[key]
+        cfg = write(tmp_path, "nonfinite.cfg",
+                    BASE_CONFIG.replace(line, f"{key} = {value}"))
+        assert main(["rate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+
+    def test_premod_vm_ceiling_names_vm(self, tmp_path, capsys):
+        cfg = write(tmp_path, "premod_huge.cfg", """
+[scenario]
+type = premod
+v_s = 0.5
+v_m = 1e9
+eta_e = 0.7
+[channel]
+eta = 0.5
+epsilon = 0.01
+[protocol]
+direction = RR
+attack = collective
+beta = 0.95
+""")
+        assert main(["rate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "v_m" in err
+        assert "t1" not in err
+
+    def test_unphysical_model_exits_4(self, tmp_path, capsys):
+        # Premodulation DR at strong squeezing: the Holevo bound meets a
+        # symplectic eigenvalue below 1.
+        cfg = write(tmp_path, "unphysical.cfg", """
+[scenario]
+type = premod
+v_s = 0.005268349971047464
+v_m = 21.28721496597192
+eta_e = 0.5313206207169936
+[channel]
+eta = 0.9120108393559098
+epsilon = 0.015027509378388489
+[protocol]
+direction = DR
+attack = collective
+beta = 0.95
+""")
+        assert main(["rate", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ")
+        assert "below 1" in err
+        assert err.count("\n") == 1
+
     def test_premod_immunity_byte_identical(self, tmp_path, capsys):
         outputs = []
         for eta_e in (0.5, 1.0):

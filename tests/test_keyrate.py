@@ -127,6 +127,25 @@ class TestIndividualRates:
         r_one = key_rate_individual(sc_one, ch, "RR").rate
         assert r_many == pytest.approx(r_one, abs=1e-12)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "cancellation in v_m - c^T B^-1 c loses 2.55e-6 bit at strong "
+        "modulation; the fix waits for a benchmark-only change that "
+        "regenerates the individual-sweep references, five of whose rows "
+        "hold the erroneous value"))
+    def test_dr_eve_information_free_of_cancellation(self):
+        # At strong modulation and squeezing the data-conditional variance
+        # is a tiny difference of numbers of order v_m.  The cancellation-
+        # free form below agrees with a 50-digit evaluation of the same
+        # conditional variance.
+        v, v_m = 0.0012068684166685775, 595083.4143573343
+        k, eta, n = 3.7851621458202134, 0.9594347591287348, 3
+        sc = multimode(v_s=v, v_m=v_m, k=k, v_l=v, n=n)
+        got = key_rate_individual(sc, ChannelModel(eta=eta),
+                                  "DR").eve_information
+        want = 0.5 * math.log2(1.0 + v_m * (
+            n * k * k / v + (1.0 - eta) / ((1.0 - eta) * v + eta)))
+        assert abs(got - want) <= 1e-7
+
 
 class TestHolevoBound:
     def test_zero_for_trivial_channel(self):

@@ -20,6 +20,7 @@ from cvleak.scenarios import (
     channel_output_variance,
     distance_to_transmittance,
     effective_leakage,
+    with_parameter,
 )
 
 
@@ -58,6 +59,59 @@ class TestDomainValidation:
                                beta=0.9)
         assert proto.direction == "RR"
         assert proto.attack == "collective"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, field", [
+        (MultimodeLeakageScenario, "v_s"),
+        (MultimodeLeakageScenario, "v_m"),
+        (MultimodeLeakageScenario, "k"),
+        (MultimodeLeakageScenario, "leakage_variances"),
+        (PremodLeakageScenario, "v_s"),
+        (PremodLeakageScenario, "v_m"),
+        (PremodLeakageScenario, "eta_e"),
+        (PremodLeakageScenario, "v_es"),
+        (ChannelModel, "eta"),
+        (ChannelModel, "epsilon"),
+        (ChannelModel, "attenuation_db_per_km"),
+    ])
+    def test_non_finite_rejected_by_name(self, cls, field, value):
+        kwargs = (dict(eta=0.5) if cls is ChannelModel
+                  else dict(v_s=0.5, v_m=1.0))
+        kwargs[field] = ((0.5, value) if field == "leakage_variances"
+                         else value)
+        with pytest.raises(ScenarioError, match=field):
+            cls(**kwargs)
+
+
+class TestWithParameter:
+    def test_distance_sets_eta_through_attenuation(self):
+        sc = MultimodeLeakageScenario(v_s=0.5, v_m=1.0)
+        ch = ChannelModel(eta=0.9, epsilon=0.01, attenuation_db_per_km=0.25)
+        sc2, ch2 = with_parameter(sc, ch, "distance_km", 20.0)
+        assert sc2 is sc
+        assert ch2 == ChannelModel(eta=distance_to_transmittance(20.0, 0.25),
+                                   epsilon=0.01, attenuation_db_per_km=0.25)
+
+    def test_channel_fields(self):
+        sc = PremodLeakageScenario(v_s=0.5, v_m=1.0)
+        ch = ChannelModel(eta=0.9)
+        assert with_parameter(sc, ch, "eta", 0.3)[1].eta == 0.3
+        assert with_parameter(sc, ch, "epsilon", 0.02)[1].epsilon == 0.02
+
+    def test_tied_leakage_follows_v_s(self):
+        ch = ChannelModel(eta=0.9)
+        tied = MultimodeLeakageScenario(v_s=0.5, v_m=1.0,
+                                        leakage_variances=(0.5, 0.5))
+        untied = MultimodeLeakageScenario(v_s=0.5, v_m=1.0,
+                                          leakage_variances=(0.5, 1.0))
+        assert with_parameter(tied, ch, "v_s", 0.2)[0].leakage_variances \
+            == (0.2, 0.2)
+        assert with_parameter(untied, ch, "v_s", 0.2)[0].leakage_variances \
+            == (0.5, 1.0)
+        # Only v_s carries the leakage variances along.
+        assert with_parameter(tied, ch, "v_m", 3.0)[0] == \
+            MultimodeLeakageScenario(v_s=0.5, v_m=3.0,
+                                     leakage_variances=(0.5, 0.5))
 
 
 class TestEffectiveLeakage:
