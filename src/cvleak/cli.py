@@ -16,7 +16,7 @@ and beta are fractions (0.01, not "1%").
 Exit codes: 0 ok, 1 validation-suite failure, 2 configuration error
 (including non-finite or out-of-domain parameters), 3 I/O error,
 4 computation failure (the covariance model was unphysical or the
-purification solver did not converge at the requested point).
+purification did not reproduce the target moments at the requested point).
 """
 
 from __future__ import annotations

@@ -299,11 +299,12 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
         # O(1 - t1)) and needs one, since the modulating EPR variance
         # v_m / (1 - t1) would otherwise exceed what float64 entropy
         # computations can support.  The offset must stay below 0.01
-        # (build_eb_premod's window), so v_m must stay below 1e5; the bound
-        # is stated on v_m, the parameter the caller set.
-        if not scenario.v_m < 1e5:
+        # (build_eb_premod's window), so v_m must stay below 1e5; an EPR
+        # variance >= 1 needs v_m >= 1e-6, the smallest offset.  The bounds
+        # are stated on v_m, the parameter the caller set.
+        if not 1e-6 <= scenario.v_m < 1e5:
             raise ScenarioError(
-                f"premodulation collective rates need v_m < 1e5, "
+                f"premodulation collective rates need 1e-6 <= v_m < 1e5, "
                 f"got {scenario.v_m}")
         t1 = 1.0 - max(1e-6, scenario.v_m / 1e7)
         return build_eb_premod(scenario.v_s, scenario.v_m, scenario.eta_e,

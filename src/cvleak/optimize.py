@@ -152,25 +152,26 @@ def optimize_squeezing(scenario, channel: ChannelModel,
     return golden_section_max(objective, VS_MIN, 1.0, VS_TOL)
 
 
-def _expand_and_bisect(f, first: float, cap: float,
+def _expand_and_bisect(f, f_zero: float, first: float, cap: float,
                        tol: float) -> OptimizationResult:
-    """Zero crossing of f in (0, cap], given f(0) > 0.
+    """Zero crossing of f in (0, cap], given f(0) = f_zero > 0.
 
     Doubles the probe from first (clipped to cap) until f is no longer
-    positive, then bisects the last bracket to tol.  If f is still positive
-    at cap the result is unconverged, with x at the last probe.
+    positive, then bisects the last bracket to tol, reusing the values
+    already known at both of its ends.  If f is still positive at cap the
+    result is unconverged, with x at the last probe.
     """
-    lo, hi = 0.0, first
+    lo, f_lo, hi = 0.0, f_zero, first
     f_hi = f(hi)
     iterations = 0
     while f_hi > 0.0 and hi < cap:
-        lo, hi = hi, min(2.0 * hi, cap)
+        lo, f_lo, hi = hi, f_hi, min(2.0 * hi, cap)
         f_hi = f(hi)
         iterations += 1
     if f_hi > 0.0:
         return OptimizationResult(x=hi, value=f_hi, iterations=iterations,
                                   bracket=(lo, hi), converged=False)
-    result = bisect_zero(f, lo, hi, tol, f_hi=f_hi)
+    result = bisect_zero(f, lo, hi, tol, f_lo=f_lo, f_hi=f_hi)
     return dataclasses.replace(result, iterations=result.iterations
                                + iterations)
 
@@ -200,7 +201,7 @@ def secure_distance(scenario, protocol: ProtocolChoice,
     if r0 <= 0.0:
         return OptimizationResult(x=0.0, value=r0, iterations=0,
                                   bracket=(0.0, 0.0), converged=True)
-    return _expand_and_bisect(rate_at, 2.0, d_max, DISTANCE_TOL_KM)
+    return _expand_and_bisect(rate_at, r0, 2.0, d_max, DISTANCE_TOL_KM)
 
 
 def max_tolerable_k(scenario, channel: ChannelModel,
@@ -234,7 +235,7 @@ def max_tolerable_k(scenario, channel: ChannelModel,
     if r0 <= 0.0:
         raise ScenarioError(
             f"rate at k = 0 is {r0}; no positive region to bound")
-    result = _expand_and_bisect(rate_at, 0.5, K_CAP, K_TOL)
+    result = _expand_and_bisect(rate_at, r0, 0.5, K_CAP, K_TOL)
     if not result.converged:
         return dataclasses.replace(result, x=math.inf)
     return result

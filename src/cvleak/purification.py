@@ -3,12 +3,15 @@
 Collective-attack analysis needs the protocol rewritten as trusted
 measurements on a globally pure state.  Two constructions are provided:
 
-* multimode leakage: a two-source interferometric scheme.  Two EPR pairs
-  (A, B) and (L, D) feed a beam splitter T1 acting on B and L, single-mode
-  squeezers r1, r2, and a second beam splitter T2.  The six free parameters
-  (T1, T2, r1, r2, V1, V2) are solved so that the output (B, L) block
-  reproduces the prepare-and-measure moments exactly; A and D stay with the
-  sender, B goes to the channel, L belongs to the eavesdropper.
+* multimode leakage: the Williamson purification of the target signal and
+  leakage block (B, L), in closed form (:func:`solve_bloch_messiah`).  EPR
+  pairs (A, B) and (L, D) carry the block's symplectic eigenvalues; x_map
+  on the x quadratures of (B, L) and p_map on their p quadratures turn
+  their thermal marginal into the prepare-and-measure ensemble.  A and D
+  stay with the sender, B goes to the channel, L belongs to the
+  eavesdropper.  Purifications of one ensemble differ only by a swap of
+  the pairs and an orthogonal map on (A, D), the same on x and p, which
+  the sender's joint measurement of A and D does not see.
 
 * premodulation leakage: a general purification scheme.  An EPR pair of
   variance v_m / (1 - t1) is coupled into the signal on a strongly
@@ -23,12 +26,11 @@ state stays pure and eavesdropper entropies equal trusted-side entropies.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .gaussian import (
     GaussianState,
@@ -43,38 +45,36 @@ from .scenarios import ChannelModel, ScenarioError, apply_noisy_channel
 RESIDUAL_TOL = 1e-8
 PURITY_TOL = 1e-8
 
+# perfbench/tracer.py times calls made through this name (span
+# "purification.polish").  The closed form makes none, so the span reads
+# zero; the name goes when the tracer drops that span.
+least_squares = None
+
 
 class SolverError(RuntimeError):
-    """Raised when the two-source solver cannot meet the residual target."""
+    """Raised when the built purification misses the target moments."""
 
     def __init__(self, message: str, best_residual: float):
-        super().__init__(f"{message} (best residual {best_residual:.3e})")
+        super().__init__(f"{message} (residual {best_residual:.3e})")
         self.best_residual = best_residual
 
 
 @dataclass(frozen=True)
 class BlochMessiahSolution:
-    """Parameters of the two-source purification circuit.
+    """Williamson purification of a target (B, L) block.
 
-    t1, t2 are beam-splitter transmittances on the closed interval [0, 1]
-    (the no-leakage case k = 0 sits exactly on an endpoint, where the beam
-    splitter degenerates to an identity or a swap), r1, r2 the squeezing
-    parameters, v1, v2 the EPR source variances (>= 1).  residual is the
-    largest absolute defect of the six reproduced moments, evaluated on
-    the explicitly constructed circuit.
+    v1, v2 are the EPR source variances (>= 1), the block's symplectic
+    eigenvalues in descending order.  x_map and p_map are the 2x2 maps
+    applied to the x and to the p quadratures of (B, L), with
+    x_map^T p_map = I.  residual is the largest absolute defect of the
+    target moments, evaluated on the explicitly constructed state.
     """
 
-    t1: float
-    t2: float
-    r1: float
-    r2: float
     v1: float
     v2: float
+    x_map: np.ndarray
+    p_map: np.ndarray
     residual: float
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.t1, self.t2, self.r1, self.r2, self.v1, self.v2,
-                self.residual)
 
 
 @dataclass(frozen=True)
@@ -123,228 +123,70 @@ def _moment_targets(k: float, v_s: float, v_m: float,
             k * v_m, -k * v_m)
 
 
-def _closed_moments(t1: float, t2: float, r1: float, r2: float,
-                    v1: float, v2: float) -> tuple[float, ...]:
-    """Output (B, L) moments of the circuit, in closed form.
+def two_source_circuit(solution: BlochMessiahSolution) -> GaussianState:
+    """Build the four-mode state (A, B, L, D) of a purification solution.
 
-    Matches the explicit gaussian-core construction of
-    :func:`two_source_circuit`; kept separate so the solver loop avoids
-    building 8x8 matrices.
+    EPR(A, B, v1) and EPR(L, D, v2), then x_map on the x quadratures of
+    (B, L) and p_map on their p quadratures.  x_map^T p_map = I makes the
+    map symplectic, so the state stays pure.
     """
-    a = t1 * v1 + (1.0 - t1) * v2
-    b = (1.0 - t1) * v1 + t1 * v2
-    tt1 = math.sqrt(max(t1 * (1.0 - t1), 0.0))
-    tt2 = math.sqrt(max(t2 * (1.0 - t2), 0.0))
-    dv = v1 - v2
-    em = math.exp(-(r1 + r2))
-    ep = math.exp(r1 + r2)
-    al = math.exp(-2.0 * r1) * a
-    be = math.exp(-2.0 * r2) * b
-    alp = math.exp(2.0 * r1) * a
-    bep = math.exp(2.0 * r2) * b
-    return (
-        t2 * al + (1.0 - t2) * be - 2.0 * tt1 * tt2 * em * dv,
-        t2 * alp + (1.0 - t2) * bep - 2.0 * tt1 * tt2 * ep * dv,
-        (1.0 - t2) * al + t2 * be + 2.0 * tt1 * tt2 * em * dv,
-        (1.0 - t2) * alp + t2 * bep + 2.0 * tt1 * tt2 * ep * dv,
-        tt2 * (be - al) + (1.0 - 2.0 * t2) * tt1 * em * dv,
-        tt2 * (bep - alp) + (1.0 - 2.0 * t2) * tt1 * ep * dv,
-    )
-
-
-def two_source_circuit(t1: float, t2: float, r1: float, r2: float,
-                       v1: float, v2: float) -> GaussianState:
-    """Build the four-mode state (A, B, L, D) of the purification circuit."""
-    st = attach_epr(GaussianState.empty(), "A", "B", v1)
-    st = attach_epr(st, "L", "D", v2)
-    st = apply_beamsplitter(st, "B", "L", t1)
-    st = apply_squeezer(st, "B", r1)
-    st = apply_squeezer(st, "L", r2)
-    st = apply_beamsplitter(st, "B", "L", t2)
-    return st
-
-
-def _circuit_residual(params, tg) -> float:
-    st = two_source_circuit(*params)
-    got = (st.variance("B", "x"), st.variance("B", "p"),
-           st.variance("L", "x"), st.variance("L", "p"),
-           st.block("B", "L")[0, 0], st.block("B", "L")[1, 1])
-    return max(abs(g - w) for g, w in zip(got, tg))
-
-
-def _analytic_candidates(k, v_s, v_m, v_l):
-    """Closed-form solution branches of the six-moment system.
-
-    The structure of the circuit pins most parameters analytically: A and D
-    never interact, so {v1, v2} must be the symplectic spectrum of the
-    target (B, L) block; the x- and p-sector determinants fix r1 + r2; the
-    requirement that both sectors share one T2 fixes T2; the rest follows
-    by linear algebra.  Each sign/ordering ambiguity yields one candidate.
-    """
-    tg = _moment_targets(k, v_s, v_m, v_l)
-    xb, pb, xl, pl, cx, cp = tg
-    x_block = np.array([[xb, cx], [cx, xl]])
-    p_block = np.array([[pb, cp], [cp, pl]])
-    det_x = float(np.linalg.det(x_block))
-    det_p = float(np.linalg.det(p_block))
-    if det_x <= 0.0 or det_p <= 0.0:
-        return []
-    eigs = np.linalg.eigvals(x_block @ p_block)
-    nus = np.sort(np.sqrt(np.clip(eigs.real, 0.0, None)))[::-1]
-    s = 0.25 * math.log(det_p / det_x)
-    e2s = math.exp(2.0 * s)
-    sum_x, diff_x = xb + xl, xb - xl
-    diff_p = pb - pl
-    big_a = diff_p - e2s * diff_x
-    big_b = 2.0 * (cp - e2s * cx)
-    den = math.hypot(big_a, big_b)
-    scale = max(1.0, abs(xb), abs(xl), abs(pb), abs(pl))
-    if den < 1e-12 * scale:
-        c_cands = [0.0, 1.0, -1.0]
-    elif abs(big_b) < 1e-12 * scale:
-        c_cands = [1.0, -1.0]
-    else:
-        c_cands = [-big_a * math.copysign(1.0, big_b) / den]
-    out = []
-    for v1, v2 in [(nus[0], nus[1]), (nus[1], nus[0])]:
-        v1 = max(float(v1), 1.0)
-        v2 = max(float(v2), 1.0)
-        dv = v1 - v2
-        for c in c_cands:
-            root = math.sqrt(max(0.0, 1.0 - c * c))
-            u = c * diff_x - 2.0 * root * cx
-            m = -(root * diff_x + 2.0 * c * cx) / 2.0
-            t2 = (c + 1.0) / 2.0
-            al = (sum_x + u) / 2.0
-            be = (sum_x - u) / 2.0
-            if al <= 0.0 or be <= 0.0:
-                continue
-            if abs(dv) < 1e-10 * max(1.0, v1):
-                t1_cands = [0.5]
-            else:
-                tt1 = m * math.exp(s) / dv
-                if tt1 < -1e-6 or tt1 > 0.5 * (1.0 + 1e-6):
-                    continue
-                tt1 = min(max(tt1, 0.0), 0.5)
-                disc = math.sqrt(max(0.0, 1.0 - 4.0 * tt1 * tt1))
-                t1_cands = [(1.0 + disc) / 2.0, (1.0 - disc) / 2.0]
-            for t1 in t1_cands:
-                a = t1 * dv + v2
-                b = v1 - t1 * dv
-                if a <= 0.0 or b <= 0.0:
-                    continue
-                r1 = -0.5 * math.log(al / a)
-                out.append((t1, t2, r1, s - r1, v1, v2))
-    return out
-
-
-def _multistart_seeds(k, v_s, v_m, v_l):
-    """Eight fixed fallback starting points spanning the parameter box."""
-    tg = _moment_targets(k, v_s, v_m, v_l)
-    xb, pb, xl, pl, cx, cp = tg
-    det_x = xb * xl - cx * cx
-    det_p = pb * pl - cp * cp
-    s = 0.25 * math.log(max(det_p, 1e-12) / max(det_x, 1e-12))
-    nu_guess = math.sqrt(max(math.sqrt(det_x * det_p), 1.0))
-    seeds = []
-    for t1, t2, dr in itertools.product((0.25, 0.75), (0.25, 0.75),
-                                        (-0.7, 0.7)):
-        r1 = 0.5 * s + 0.5 * dr
-        seeds.append((t1, t2, r1, s - r1, max(nu_guess, 1.0 + 1e-6), 1.5))
-    return seeds
-
-
-def _polish(params, tg):
-    """Drive the closed-form residual to machine precision.
-
-    Unconstrained reparametrization keeps the domains: T = sin^2(theta)
-    covers [0, 1] smoothly (the k = 0 solution needs the endpoint) and
-    V = 1 + w^2 keeps the EPR variances physical.
-    """
-    t1, t2, r1, r2, v1, v2 = params
-    x0 = np.array([
-        math.asin(math.sqrt(min(max(t1, 0.0), 1.0))),
-        math.asin(math.sqrt(min(max(t2, 0.0), 1.0))),
-        r1, r2,
-        math.sqrt(max(v1 - 1.0, 0.0)),
-        math.sqrt(max(v2 - 1.0, 0.0)),
-    ])
-
-    def unpack(x):
-        th1, th2, rr1, rr2, w1, w2 = x
-        # Squeezing clamp keeps exp() finite while the solver explores.
-        rr1 = min(max(rr1, -30.0), 30.0)
-        rr2 = min(max(rr2, -30.0), 30.0)
-        return (math.sin(th1) ** 2, math.sin(th2) ** 2, rr1, rr2,
-                1.0 + w1 * w1, 1.0 + w2 * w2)
-
-    def resid(x):
-        got = _closed_moments(*unpack(x))
-        return [g - w for g, w in zip(got, tg)]
-
-    sol = least_squares(resid, x0, method="lm",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-    return unpack(sol.x)
+    st = attach_epr(GaussianState.empty(), "A", "B", solution.v1)
+    st = attach_epr(st, "L", "D", solution.v2)
+    s = np.eye(8)
+    s[2:6:2, 2:6:2] = solution.x_map
+    s[3:6:2, 3:6:2] = solution.p_map
+    return GaussianState(st.mode_labels, s @ st.cm @ s.T,
+                         check_physicality=False)
 
 
 def solve_bloch_messiah(k: float, v_s: float, v_m: float,
                         v_l: float | None = None) -> BlochMessiahSolution:
-    """Solve the two-source purification for the multimode-leakage moments.
+    """Purification of the multimode-leakage (B, L) ensemble, in closed form.
 
-    v_l defaults to v_s (identical signal and leakage states).  The closed
-    analytic branches almost always land on the solution; a least-squares
-    polish removes roundoff, and eight fixed multistarts cover cases where
-    no branch survives.  All steps are deterministic, so identical inputs
-    yield identical solutions.  Ties between exact solutions are broken
-    toward minimal total squeezing |r1| + |r2|.
+    v_l defaults to v_s (identical signal and leakage states).  With the
+    target blocks X = Lx Lx^T and P = Lp Lp^T (Cholesky) and the SVD
+    Lx^T Lp = U diag(nu) V^T, the maps x_map = Lx U nu^-1/2 and
+    p_map = Lp V nu^-1/2 satisfy X = x_map nu x_map^T, P = p_map nu p_map^T
+    and x_map^T p_map = I (Williamson's theorem).  The square-root form
+    matters: at k = 5, v_s = 1e-3, v_m = 3e5 the eigenvalues of X P give
+    the small symplectic eigenvalue to 7e-4, the singular values to 2e-8.
 
-    Raises :class:`SolverError` with the best residual when the target
-    cannot be met; the six-moment system has no solution for some extreme
-    parameter combinations.
+    The moments of the built state are checked against the target;
+    :class:`SolverError` with that residual is raised above RESIDUAL_TOL.
     """
-    if k < 0.0:
-        raise ScenarioError(f"k must be >= 0, got {k}")
+    if not 0.0 <= k < math.inf:
+        raise ScenarioError(f"k must be finite and >= 0, got {k}")
     if not 0.0 < v_s <= 1.0:
         raise ScenarioError(f"v_s must lie in (0, 1], got {v_s}")
-    if v_m <= 0.0:
-        raise ScenarioError(f"v_m must be > 0, got {v_m}")
+    if not 0.0 < v_m < math.inf:
+        raise ScenarioError(f"v_m must be finite and > 0, got {v_m}")
     if v_l is None:
         v_l = v_s
-    if v_l <= 0.0:
-        raise ScenarioError(f"v_l must be > 0, got {v_l}")
-    tg = _moment_targets(k, v_s, v_m, v_l)
-
-    def keyed(raw):
-        # Score with the closed moments; the returned solution is verified
-        # against the explicitly constructed circuit below.
-        res = max(abs(g - w)
-                  for g, w in zip(_closed_moments(*raw), tg))
-        return (res, abs(raw[2]) + abs(raw[3])), raw
-
-    scored = sorted(keyed(raw)
-                    for raw in _analytic_candidates(k, v_s, v_m, v_l))
-    best = scored[0] if scored else None
-    if best is None or best[0][0] > 1e-10:
-        # Polish the most promising analytic branches, then fall back to
-        # the fixed multistart seeds if none converges.
-        pool = [raw for _, raw in scored[:4]]
-        if best is None or best[0][0] > RESIDUAL_TOL:
-            pool += _multistart_seeds(k, v_s, v_m, v_l)
-        for seed in pool:
-            cand = keyed(_polish(seed, tg))
-            if best is None or cand[0] < best[0]:
-                best = cand
-            if best[0][0] <= 1e-12:
-                break
-    if best is None:
-        raise SolverError("no purification candidate found", math.inf)
-    _, raw = best
-    res = _circuit_residual(raw, tg)
-    if res > RESIDUAL_TOL:
-        raise SolverError("purification solver did not converge", res)
-    t1, t2, r1, r2, v1, v2 = raw
-    return BlochMessiahSolution(t1=t1, t2=t2, r1=r1, r2=r2, v1=v1, v2=v2,
-                                residual=res)
+    if not 0.0 < v_l < math.inf:
+        raise ScenarioError(f"v_l must be finite and > 0, got {v_l}")
+    xb, pb, xl, pl, cx, cp = _moment_targets(k, v_s, v_m, v_l)
+    x_block = np.array([[xb, cx], [cx, xl]])
+    p_block = np.array([[pb, cp], [cp, pl]])
+    l_x = np.linalg.cholesky(x_block)
+    l_p = np.linalg.cholesky(p_block)
+    u, nu, vt = np.linalg.svd(l_x.T @ l_p)
+    scale = 1.0 / np.sqrt(nu)
+    x_map = l_x @ u * scale
+    p_map = l_p @ vt.T * scale
+    x_map.flags.writeable = p_map.flags.writeable = False
+    # A symplectic eigenvalue of a physical target is >= 1; rounding can
+    # leave an exact 1 (k = 0 leakage) a few ulps below.
+    solution = BlochMessiahSolution(
+        v1=max(float(nu[0]), 1.0), v2=max(float(nu[1]), 1.0),
+        x_map=x_map, p_map=p_map, residual=math.nan)
+    cm = two_source_circuit(solution).cm
+    # Rows 2, 4 are the x quadratures of (B, L), rows 3, 5 their p.
+    res = max(float(np.max(np.abs(cm[2:6:2, 2:6:2] - x_block))),
+              float(np.max(np.abs(cm[3:6:2, 3:6:2] - p_block))))
+    if not res <= RESIDUAL_TOL:
+        raise SolverError("purification did not reproduce the target "
+                          "moments", res)
+    return dataclasses.replace(solution, residual=res)
 
 
 def build_eb_multimode(solution: BlochMessiahSolution, v_s: float,
@@ -361,8 +203,7 @@ def build_eb_multimode(solution: BlochMessiahSolution, v_s: float,
         raise ScenarioError(
             f"solution residual {solution.residual:.3e} exceeds "
             f"{RESIDUAL_TOL}")
-    pre = two_source_circuit(solution.t1, solution.t2, solution.r1,
-                             solution.r2, solution.v1, solution.v2)
+    pre = two_source_circuit(solution)
     # Cheap guard: the signal ensemble must match the requested protocol.
     for got, want, name in (
             (pre.variance("B", "x"), v_s + v_m, "V_B(x)"),
@@ -407,10 +248,13 @@ def build_eb_premod(v_s: float, v_m: float, eta_e: float,
     if v_es < 1.0:
         raise ScenarioError(f"v_es must be >= 1, got {v_es}")
     v_epr = v_m / (1.0 - t1)
-    if v_epr < 1.0:
+    # 1 - t1 carries the rounding of t1: at t1 = 1 - 1e-6 it is 1e-6 plus
+    # 2.9e-17, so v_m = 1e-6 gives v_epr = 1 - 2.9e-11.
+    if v_epr < 1.0 - 1e-9:
         raise ScenarioError(
             f"v_m = {v_m} is below the stability window for t1 = {t1} "
             f"(need v_m >= {1.0 - t1})")
+    v_epr = max(v_epr, 1.0)
     st = GaussianState.empty()
     st = attach_vacuum(st, "B")
     st = apply_squeezer(st, "B", -0.5 * math.log(v_s))

@@ -462,9 +462,12 @@ def solution_table() -> list[dict]:
     rows = []
     for k, v_s, v_m, v_l in bloch_messiah_sample_grid():
         sol = solve_bloch_messiah(k, v_s, v_m, v_l)
+        x = sol.x_map
         rows.append({
             "k": k, "v_s": v_s, "v_m": v_m, "v_l": v_l,
-            "t1": sol.t1, "t2": sol.t2, "r1": sol.r1, "r2": sol.r2,
-            "v1": sol.v1, "v2": sol.v2, "residual": sol.residual,
+            "v1": sol.v1, "v2": sol.v2,
+            "x_map_00": x[0, 0], "x_map_01": x[0, 1],
+            "x_map_10": x[1, 0], "x_map_11": x[1, 1],
+            "residual": sol.residual,
         })
     return rows

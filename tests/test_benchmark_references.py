@@ -6,7 +6,7 @@ rates, 0.02 km on distances) as incorrect.  These tests rerun a prefix of
 each workload in-process through the benchmark's own entry point and
 comparison, so that a change which moves outputs fails here first.  The
 prefixes keep the run to a few seconds: all reference operations of the
-cheap individual sweeps, and the first operations of the others.
+sweeps, and the first operations of the secure-distance solves.
 """
 
 import pytest
@@ -15,7 +15,8 @@ from cvleak import cli, optimize
 from perfbench import checks, worker, workloads
 
 CASES = ([("individual-sweep", seed, 128) for seed in range(1, 11)]
-         + [("collective-sweep", 1, 16), ("distance-solve", 1, 2)])
+         + [("collective-sweep", seed, 192) for seed in range(1, 11)]
+         + [("distance-solve", 1, 2)])
 
 
 @pytest.mark.parametrize("workload, seed, n_ops", CASES)

@@ -188,11 +188,18 @@ attack = individual
         assert "Traceback" not in err
 
     def test_premod_vm_ceiling_names_vm(self, tmp_path, capsys):
-        cfg = write(tmp_path, "premod_huge.cfg", """
+        self.check_premod_vm_named(tmp_path, capsys, "1e9")
+
+    def test_premod_vm_floor_names_vm(self, tmp_path, capsys):
+        self.check_premod_vm_named(tmp_path, capsys, "1e-7")
+
+    @staticmethod
+    def check_premod_vm_named(tmp_path, capsys, v_m):
+        cfg = write(tmp_path, "premod_vm.cfg", f"""
 [scenario]
 type = premod
 v_s = 0.5
-v_m = 1e9
+v_m = {v_m}
 eta_e = 0.7
 [channel]
 eta = 0.5
@@ -475,7 +482,9 @@ class TestValidateCommand:
         assert out.count("PASS") >= 12
         assert "FAIL" not in out
         header = open(solutions).read().strip().splitlines()[1]
-        assert header.split(",")[:4] == ["k", "v_s", "v_m", "v_l"]
+        assert header.split(",") == [
+            "k", "v_s", "v_m", "v_l", "v1", "v2", "x_map_00", "x_map_01",
+            "x_map_10", "x_map_11", "residual"]
 
         # golden round-trip comparison
         assert main(["validate", "--golden", golden]) == 0

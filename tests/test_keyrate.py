@@ -25,6 +25,7 @@ from cvleak.scenarios import (
     ProtocolChoice,
     ScenarioError,
 )
+from perfbench.worker import CENSUS
 
 
 def multimode(v_s=0.5, v_m=4.0, k=0.0, v_l=None, n=1):
@@ -263,6 +264,47 @@ class TestCollectiveRates:
         with pytest.raises(ScenarioError):
             key_rate(sc, ChannelModel(eta=0.5),
                      ProtocolChoice("RR", "individual", 0.9))
+
+
+def pm_chi_be(scenario, channel):
+    """chi_BE from the prepare-and-measure ensemble, without purifying.
+
+    The (B, L) source block is built directly from its moments, the
+    channel is attached in purified form, and the eavesdropper holds L and
+    the channel environment.
+    """
+    from cvleak.gaussian import (GaussianState, homodyne_condition,
+                                 partial_trace, von_neumann_entropy)
+    from cvleak.scenarios import apply_noisy_channel
+    v_s, v_m, k = scenario.v_s, scenario.v_m, scenario.k
+    v_l = scenario.leakage_variances[0]
+    cm = np.diag([v_s + v_m, 1.0 / v_s + v_m,
+                  v_l + k * k * v_m, 1.0 / v_l + k * k * v_m])
+    cm[0, 2] = cm[2, 0] = k * v_m
+    cm[1, 3] = cm[3, 1] = -k * v_m
+    state, env = apply_noisy_channel(GaussianState(("B", "L"), cm), "B",
+                                     channel, purify=True, eve_prefix="E")
+    eve = ["L", *env]
+    cond = homodyne_condition(state, "B", "x")
+    return (von_neumann_entropy(partial_trace(state, eve))
+            - von_neumann_entropy(partial_trace(cond, eve)))
+
+
+class TestCensusCorners:
+    """Multimode points of the benchmark's failure census: k >= 3 at
+    v_m = 1e5, k near 0 at small v_s and large v_m, and v_s near 1e-3."""
+
+    @pytest.mark.parametrize("scenario, channel", [
+        (scenario, channel) for kind, scenario, channel, _ in CENSUS
+        if kind == "multimode"])
+    def test_collective_rr_rate_is_finite(self, scenario, channel):
+        sc = MultimodeLeakageScenario(**scenario)
+        ch = ChannelModel(**channel)
+        rep = key_rate_collective(sc, ch,
+                                  ProtocolChoice("RR", "collective", 0.95))
+        assert math.isfinite(rep.rate)
+        assert rep.eve_information == pytest.approx(pm_chi_be(sc, ch),
+                                                    abs=1e-7)
 
 
 class TestMultimodeAsymptotics:
