@@ -231,74 +231,15 @@ def apply_squeezer(state: GaussianState, mode: str, r: float) -> GaussianState:
                          check_physicality=False)
 
 
-def _partition(cm: np.ndarray, idx: int):
-    """Split cm into (rest block, cross block, measured 2x2 block)."""
-    keep = [j for j in range(cm.shape[0]) if j not in (2 * idx, 2 * idx + 1)]
-    meas = [2 * idx, 2 * idx + 1]
-    gamma_rest = cm[np.ix_(keep, keep)]
-    sigma = cm[np.ix_(keep, meas)]
-    gamma_meas = cm[np.ix_(meas, meas)]
-    return gamma_rest, sigma, gamma_meas
-
-
-def _homodyne_matrix(gamma_rest, sigma, gamma_meas, quad_offset):
-    """Conditional covariance after a homodyne of one quadrature.
-
-    Implements gamma_rest - sigma (X gamma_meas X)^MP sigma^T where X picks
-    the measured quadrature.  The Moore-Penrose pseudoinverse of the
-    rank-one selection is diag(1/v, 0) for measured variance v > 0 and the
-    zero matrix for v == 0, in which case the remainder is returned
-    unchanged.  Negative v means a malformed input.
-    """
-    v = float(gamma_meas[quad_offset, quad_offset])
-    if v < 0.0:
-        raise PhysicalityError(
-            f"measured quadrature variance {v} is negative")
-    if v == 0.0:
-        return gamma_rest.copy()
-    c = sigma[:, quad_offset]
-    return gamma_rest - np.outer(c, c) / v
-
-
-def homodyne_condition(state: GaussianState, mode: str,
-                       quadrature: str) -> GaussianState:
-    """State of the remaining modes after a homodyne detection of one mode.
-
-    The measured mode is removed; the conditional covariance of the rest is
-    the Schur-type complement with the Moore-Penrose pseudoinverse of the
-    single-quadrature selection.  For zero-mean states the conditional
-    covariance does not depend on the measurement outcome.
-    """
-    idx = state.index(mode)
-    off = _quad_offset(quadrature)
-    gamma_rest, sigma, gamma_meas = _partition(state.cm, idx)
-    cond = _homodyne_matrix(gamma_rest, sigma, gamma_meas, off)
-    labels = tuple(l for l in state.mode_labels if l != mode)
-    return GaussianState(labels, cond, check_physicality=False)
-
-
-def heterodyne_condition(state: GaussianState, mode: str) -> GaussianState:
-    """State of the remaining modes after a heterodyne detection of one mode.
-
-    Conditional covariance gamma_rest - sigma (gamma_meas + I)^-1 sigma^T;
-    the measured mode is removed.
-    """
-    idx = state.index(mode)
-    gamma_rest, sigma, gamma_meas = _partition(state.cm, idx)
-    cond = gamma_rest - sigma @ np.linalg.inv(gamma_meas + np.eye(2)) @ sigma.T
-    labels = tuple(l for l in state.mode_labels if l != mode)
-    return GaussianState(labels, cond, check_physicality=False)
-
-
 def _joint_condition(state: GaussianState, modes, measured_rows,
                      regularize: bool) -> GaussianState:
-    """Condition on several modes with a single Schur complement.
+    """Condition on the measured quadrature rows with one Schur complement.
 
-    Mathematically identical to conditioning the modes one at a time, but
-    numerically far better behaved when the measured modes carry variances
-    many orders above the remainder: sequential conditioning pushes the
-    huge entries through intermediate states with shrinking pivots, while
-    the joint complement never forms large intermediates on the kept side.
+    The kept modes' covariance becomes gamma_rest - sigma M^-1 sigma^T, M
+    the measured rows' covariance (plus the identity for heterodyne).
+    Joint conditioning never forms the large intermediates that
+    conditioning one mode at a time would.  A homodyne variance that is not
+    positive belongs to no physical state and raises PhysicalityError.
     """
     for mode in modes:
         state.index(mode)
@@ -311,6 +252,10 @@ def _joint_condition(state: GaussianState, modes, measured_rows,
     block = state.cm[np.ix_(measured_rows, measured_rows)]
     if regularize:
         block = block + np.eye(len(measured_rows))
+    elif not all(state.cm[r, r] > 0.0 for r in measured_rows):
+        raise PhysicalityError(
+            f"measured quadrature variances {block.diagonal()} are not "
+            f"all positive")
     update = sigma @ np.linalg.solve(block, sigma.T)
     cond = gamma_rest - 0.5 * (update + update.T)
     labels = tuple(l for l in state.mode_labels if l not in modes)
@@ -334,6 +279,17 @@ def joint_heterodyne_condition(state: GaussianState, modes) -> GaussianState:
         i = state.index(mode)
         rows.extend([2 * i, 2 * i + 1])
     return _joint_condition(state, modes, rows, regularize=True)
+
+
+def homodyne_condition(state: GaussianState, mode: str,
+                       quadrature: str) -> GaussianState:
+    """State of the other modes after a homodyne detection of one mode."""
+    return joint_homodyne_condition(state, [mode], quadrature)
+
+
+def heterodyne_condition(state: GaussianState, mode: str) -> GaussianState:
+    """State of the other modes after a heterodyne detection of one mode."""
+    return joint_heterodyne_condition(state, [mode])
 
 
 def partial_trace(state: GaussianState,

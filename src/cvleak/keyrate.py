@@ -27,7 +27,7 @@ import numpy as np
 from .gaussian import (
     GaussianState,
     PhysicalityError,
-    homodyne_condition,
+    homodyne_condition,  # unused here; perfbench/tracer.py wraps this name
     joint_heterodyne_condition,
     joint_homodyne_condition,
     partial_trace,
@@ -131,33 +131,23 @@ def mutual_info_ab(scenario, channel: ChannelModel) -> float:
     return _log2_ratio(v_b, v_b_cond)
 
 
-def _condition_on_modes(state: GaussianState, modes, quadrature="x"):
-    out = state
-    for mode in modes:
-        out = homodyne_condition(out, mode, quadrature)
-    return out
-
-
 def _gaussian_conditional(v: float, cross: np.ndarray,
                           block: np.ndarray) -> float:
     """Variance of a scalar conditioned on jointly Gaussian variables."""
     return float(v - cross @ np.linalg.solve(block, cross))
 
 
-def _x_block(state: GaussianState, modes) -> np.ndarray:
-    idx = [2 * state.index(m) for m in modes]
-    return state.cm[np.ix_(idx, idx)]
-
-
 def key_rate_individual(scenario, channel: ChannelModel,
                         direction: str = DIRECTION_RR) -> KeyRateReport:
     """Key rate under individual attacks on a purely lossy channel.
 
-    The eavesdropper homodynes every mode she holds in the key quadrature.
-    Reverse reconciliation conditions Bob's variance on those measurements;
-    direct reconciliation conditions Alice's modulation data, whose
-    correlations to the eavesdropper modes follow from the linear optics of
-    the corresponding scenario.
+    The eavesdropper homodynes every mode she holds in the key quadrature,
+    and I_E = (1/2) log2(V_ref / V_ref|E) with the conditional variance
+    taken on the x block of her modes in the prepare-and-measure state.
+    The reference is Bob's x quadrature for reverse reconciliation, with
+    its correlations read from that state, and Alice's modulation data for
+    direct reconciliation, whose correlations to the eavesdropper modes
+    follow from the linear optics of the corresponding scenario.
     """
     direction = str(direction).upper()
     if direction not in (DIRECTION_RR, DIRECTION_DR):
@@ -189,12 +179,14 @@ def key_rate_individual(scenario, channel: ChannelModel,
         return KeyRateReport(i_ab=0.0, eve_information=0.0, rate=0.0,
                              direction=direction, attack=ATTACK_INDIVIDUAL,
                              conditional_variances=variances)
+    rows = [2 * state.index(m) for m in eve_modes]
+    block = state.cm[np.ix_(rows, rows)]
     if direction == DIRECTION_RR:
-        v_b_cond = _condition_on_modes(state, eve_modes).variance("B", "x")
+        v_b_cond = _gaussian_conditional(
+            v_b, state.cm[2 * state.index("B"), rows], block)
         eve_info = _log2_ratio(v_b, v_b_cond)
         variances["v_b_cond_e"] = v_b_cond
     else:
-        block = _x_block(state, eve_modes)
         v_a_cond = _gaussian_conditional(v_m, data_cross, block)
         eve_info = _log2_ratio(v_m, v_a_cond)
         variances["v_a"] = v_m
@@ -249,7 +241,7 @@ def holevo_bound(model: PurifiedModel, direction: str = DIRECTION_RR,
     if direction == DIRECTION_RR:
         ref_modes, ref_meas = (model.bob_mode,), "homodyne_x"
     else:
-        ref_modes = model.alice_data_modes
+        ref_modes = model.alice_modes
         ref_meas = model.alice_measurement
     if side == "trusted":
         trusted = partial_trace(model.state, list(model.trusted_modes))

@@ -43,6 +43,10 @@ from .gaussian import (
 
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 
+# Labels of the purified channel environment (see apply_noisy_channel).
+ENV_MODE = "E_env"
+ENV_TWIN_MODE = "E_env_twin"
+
 
 class ScenarioError(ValueError):
     """Raised for parameter values outside the declared domains."""
@@ -250,48 +254,28 @@ def add_correlated_modulation(state: GaussianState,
     return GaussianState(state.mode_labels, cm, check_physicality=False)
 
 
-def apply_noisy_channel(state: GaussianState, mode: str, channel: ChannelModel,
-                        purify: bool = False,
-                        eve_prefix: str | None = None
+def apply_noisy_channel(state: GaussianState, mode: str,
+                        channel: ChannelModel
                         ) -> tuple[GaussianState, tuple[str, ...]]:
-    """Send one mode through the untrusted channel (eta, epsilon).
+    """Send one mode through the untrusted channel (eta, epsilon), purified.
 
-    Returns the new state and the labels of the added environment modes.
-
-    Without purification the mode variance maps
-    V -> eta V + (1 - eta)(1 + epsilon) and its correlations scale by
-    sqrt(eta); the environment is discarded.  With ``purify=True`` the
-    thermal environment of variance 1 + epsilon is one arm of an EPR pair
-    and both arms are kept (they belong to the eavesdropper); a pure-loss
-    environment is a single vacuum mode.  At eta = 1 the environment
-    decouples and the state is returned unchanged.
+    Returns the new state and the labels of the added environment modes,
+    which belong to the eavesdropper: the vacuum ENV_MODE for pure loss,
+    else an EPR pair (ENV_MODE, ENV_TWIN_MODE) of variance 1 + epsilon, so
+    a pure input stays pure.  At eta = 1 the state is returned unchanged.
+    Tracing the environment out maps V -> eta V + (1 - eta)(1 + epsilon)
+    (:func:`channel_output_variance`) and scales correlations by sqrt(eta).
     """
     state.index(mode)
-    eta, eps = channel.eta, channel.epsilon
-    prefix = eve_prefix if eve_prefix is not None else mode
-    if not purify:
-        n = state.n_modes
-        i = state.index(mode)
-        s = np.eye(2 * n)
-        s[2 * i, 2 * i] = math.sqrt(eta)
-        s[2 * i + 1, 2 * i + 1] = math.sqrt(eta)
-        cm = s @ state.cm @ s.T
-        extra = np.zeros((2 * n, 2 * n))
-        extra[2 * i, 2 * i] = (1.0 - eta) * (1.0 + eps)
-        extra[2 * i + 1, 2 * i + 1] = (1.0 - eta) * (1.0 + eps)
-        return GaussianState(state.mode_labels, cm + extra,
-                             check_physicality=False), ()
-    if eta == 1.0:
+    if channel.eta == 1.0:
         return state, ()
-    if eps == 0.0:
-        anc = f"{prefix}_env"
-        out = attach_vacuum(state, anc)
-        out = apply_beamsplitter(out, mode, anc, eta)
-        return out, (anc,)
-    anc, twin = f"{prefix}_env", f"{prefix}_env_twin"
-    out = attach_epr(state, anc, twin, 1.0 + eps)
-    out = apply_beamsplitter(out, mode, anc, eta)
-    return out, (anc, twin)
+    if channel.epsilon == 0.0:
+        env = (ENV_MODE,)
+        out = attach_vacuum(state, ENV_MODE)
+    else:
+        env = (ENV_MODE, ENV_TWIN_MODE)
+        out = attach_epr(state, ENV_MODE, ENV_TWIN_MODE, 1.0 + channel.epsilon)
+    return apply_beamsplitter(out, mode, ENV_MODE, channel.eta), env
 
 
 def _squeezed_source(state: GaussianState, label: str,

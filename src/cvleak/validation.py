@@ -41,6 +41,7 @@ from .purification import (
     solve_bloch_messiah,
 )
 from .scenarios import (
+    ENV_MODE,
     ChannelModel,
     MultimodeLeakageScenario,
     PremodLeakageScenario,
@@ -242,7 +243,7 @@ def check_eb_pm_multimode() -> CheckResult:
             ch = ChannelModel(eta=eta)
             sol = solve_bloch_messiah(k, v_s, v_m, v_l)
             model = build_eb_multimode(sol, v_s, v_m, k, ch)
-            eb = partial_trace(model.state, ["B", "L", "E_env"])
+            eb = partial_trace(model.state, ["B", "L", ENV_MODE])
             sc = MultimodeLeakageScenario(v_s=v_s, v_m=v_m, k=k,
                                           leakage_variances=(v_l,))
             pm = build_pm_multimode(sc, ch)
@@ -253,7 +254,7 @@ def check_eb_pm_multimode() -> CheckResult:
 def _premod_eb_moments(v_s, v_m, eta_e, eta, delta, nu):
     model = build_eb_premod(v_s, v_m, eta_e, ChannelModel(eta=eta),
                             t1=1.0 - delta, v_s0=nu)
-    red = partial_trace(model.state, ["B", "ES", "E_env"])
+    red = partial_trace(model.state, ["B", "ES", ENV_MODE])
     return red.cm
 
 

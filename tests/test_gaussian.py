@@ -9,7 +9,6 @@ from cvleak.gaussian import (
     GaussianState,
     ModeError,
     PhysicalityError,
-    _homodyne_matrix,
     apply_beamsplitter,
     apply_squeezer,
     attach_epr,
@@ -209,20 +208,22 @@ class TestHomodyneCondition:
             out = homodyne_condition(st, st.mode_labels[0], "x")
             assert np.max(np.abs(symplectic_eigenvalues(out) - 1.0)) < 1e-8
 
-    def test_zero_variance_pseudoinverse_branch(self):
-        # Moore-Penrose of an exactly zero measured block leaves the rest
-        # unchanged; exercised on raw matrices since no physical state has
-        # a zero-variance quadrature.
-        gamma_rest = np.diag([2.0, 3.0])
-        sigma = np.array([[0.4, 0.0], [0.0, 0.1]])
-        gamma_meas = np.array([[0.0, 0.0], [0.0, 5.0]])
-        out = _homodyne_matrix(gamma_rest, sigma, gamma_meas, 0)
-        assert np.allclose(out, gamma_rest)
-
     def test_negative_variance_rejected(self):
-        gamma_meas = np.array([[-1.0, 0.0], [0.0, 5.0]])
+        # The constructor's physicality check is skipped, as the library's
+        # own operations do; conditioning must still refuse the state.
+        st = GaussianState(("a", "b"), np.diag([-1.0, 5.0, 2.0, 3.0]),
+                           check_physicality=False)
         with pytest.raises(PhysicalityError):
-            _homodyne_matrix(np.eye(2), np.zeros((2, 2)), gamma_meas, 0)
+            homodyne_condition(st, "a", "x")
+
+    def test_zero_variance_rejected(self):
+        st = GaussianState(("a", "b"), np.diag([0.0, 5.0, 2.0, 3.0]),
+                           check_physicality=False)
+        with pytest.raises(PhysicalityError):
+            homodyne_condition(st, "a", "x")
+        # The other quadrature is positive and conditions normally.
+        out = homodyne_condition(st, "a", "p")
+        assert np.allclose(out.cm, np.diag([2.0, 3.0]))
 
 
 class TestJointConditioning:

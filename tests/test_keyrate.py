@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cvleak.gaussian import joint_homodyne_condition
 from cvleak.keyrate import (
     dr_shortdistance_rate,
     holevo_bound,
@@ -24,6 +27,8 @@ from cvleak.scenarios import (
     PremodLeakageScenario,
     ProtocolChoice,
     ScenarioError,
+    build_pm_multimode,
+    build_pm_premod,
 )
 from perfbench.worker import CENSUS
 
@@ -146,6 +151,86 @@ class TestIndividualRates:
         want = 0.5 * math.log2(1.0 + v_m * (
             n * k * k / v + (1.0 - eta) / ((1.0 - eta) * v + eta)))
         assert abs(got - want) <= 1e-7
+
+
+class TestIndividualConditioning:
+    """Individual RR conditions Bob's x quadrature on the eavesdropper's
+    x homodynes: the same number as the joint homodyne of her modes on
+    the prepare-and-measure state."""
+
+    POINTS = (
+        [("multimode", v_s, v_m, k, eta)
+         for v_s, v_m, k, eta in itertools.product(
+             (1e-3, 0.3, 1.0), (0.02, 4.0, 1e6), (0.0, 0.7, 5.0),
+             (0.2, 1.0))]
+        + [("premod", v_s, v_m, (eta_e, v_es), eta)
+           for v_s, v_m, eta_e, v_es, eta in itertools.product(
+               (1e-3, 0.5, 1.0), (0.02, 4.0, 1e6), (0.3, 1.0), (1.0, 3.0),
+               (0.2, 1.0))])
+
+    @pytest.mark.parametrize("kind, v_s, v_m, extra, eta", POINTS)
+    def test_rr_matches_joint_homodyne(self, kind, v_s, v_m, extra, eta):
+        ch = ChannelModel(eta=eta)
+        if kind == "multimode":
+            sc = multimode(v_s=v_s, v_m=v_m, k=extra)
+            state, eve = build_pm_multimode(sc, ch), ["L", "E"]
+        else:
+            eta_e, v_es = extra
+            sc = PremodLeakageScenario(v_s=v_s, v_m=v_m, eta_e=eta_e,
+                                       v_es=v_es)
+            state, eve = build_pm_premod(sc, ch), ["ES", "E"]
+        got = key_rate_individual(sc, ch, "RR").conditional_variances[
+            "v_b_cond_e"]
+        want = joint_homodyne_condition(state, eve, "x").variance("B", "x")
+        # Both routes round the same Schur complement V_B - c^T M^-1 c; at
+        # v_m = 1e6, v_s = 1e-3, k = 5 the cancellation magnifies their
+        # few-ulp difference of V_B to 6e-9 of the result.
+        v_b = state.variance("B", "x")
+        assert abs(got - want) <= 1e-9 * want + 4.0 * np.finfo(float).eps * v_b
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda e: 10.0 ** e)
+
+
+# The declared individual-attack domain: v_m = 0 or a modulation up to
+# 1e7, any transmittance including the lossless channel, and for the
+# leakage models every shape the scenario types accept.
+V_M = st.one_of(st.just(0.0), _log_uniform(1e-6, 1e7))
+V_S = _log_uniform(1e-3, 1.0)
+ETA = st.one_of(st.just(1.0), _log_uniform(1e-6, 1.0))
+DIRECTION = st.sampled_from(["RR", "DR"])
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
+                             derandomize=True, database=None)
+
+
+class TestIndividualDomain:
+    """Every individual-attack input in the declared domain gives a
+    finite rate."""
+
+    @PROPERTY_SETTINGS
+    @given(v_s=V_S, v_m=V_M, k=st.floats(0.0, 20.0),
+           leakage=st.lists(_log_uniform(1e-3, 1e3), min_size=1,
+                            max_size=3, unique=True),
+           eta=ETA, direction=DIRECTION)
+    def test_multimode_rate_is_finite(self, v_s, v_m, k, leakage, eta,
+                                      direction):
+        sc = MultimodeLeakageScenario(v_s=v_s, v_m=v_m, k=k,
+                                      leakage_variances=tuple(leakage))
+        rep = key_rate_individual(sc, ChannelModel(eta=eta), direction)
+        assert math.isfinite(rep.rate)
+
+    @PROPERTY_SETTINGS
+    @given(v_s=V_S, v_m=V_M,
+           eta_e=st.one_of(st.just(1.0), _log_uniform(1e-3, 1.0)),
+           v_es=st.one_of(st.just(1.0), _log_uniform(1.0, 1e3)),
+           eta=ETA, direction=DIRECTION)
+    def test_premod_rate_is_finite(self, v_s, v_m, eta_e, v_es, eta,
+                                   direction):
+        sc = PremodLeakageScenario(v_s=v_s, v_m=v_m, eta_e=eta_e, v_es=v_es)
+        rep = key_rate_individual(sc, ChannelModel(eta=eta), direction)
+        assert math.isfinite(rep.rate)
 
 
 class TestHolevoBound:
@@ -283,7 +368,7 @@ def pm_chi_be(scenario, channel):
     cm[0, 2] = cm[2, 0] = k * v_m
     cm[1, 3] = cm[3, 1] = -k * v_m
     state, env = apply_noisy_channel(GaussianState(("B", "L"), cm), "B",
-                                     channel, purify=True, eve_prefix="E")
+                                     channel)
     eve = ["L", *env]
     cond = homodyne_condition(state, "B", "x")
     return (von_neumann_entropy(partial_trace(state, eve))
@@ -305,6 +390,22 @@ class TestCensusCorners:
         assert math.isfinite(rep.rate)
         assert rep.eve_information == pytest.approx(pm_chi_be(sc, ch),
                                                     abs=1e-7)
+
+
+class TestLargeMoments:
+    """Multimode moments above 1e7, where the purification residual is
+    checked relative to the largest target moment."""
+
+    def test_collective_rates_are_finite(self):
+        sc = multimode(v_s=0.5, v_m=1e6, k=5.0)
+        ch = ChannelModel(eta=0.5, epsilon=0.01)
+        for direction in ("RR", "DR"):
+            rep = key_rate_collective(
+                sc, ch, ProtocolChoice(direction, "collective", 0.95))
+            assert math.isfinite(rep.rate)
+            if direction == "RR":
+                assert rep.eve_information == pytest.approx(
+                    pm_chi_be(sc, ch), abs=1e-7)
 
 
 class TestMultimodeAsymptotics:

@@ -96,6 +96,21 @@ class TestSolver:
         assert worst_res <= 1e-8
         assert worst_map <= 1e-12
 
+    def test_large_moment_scan(self):
+        # v_m up to 1e7 and k up to 10 put target moments near 1e9, where
+        # the built moments carry rounding far above an absolute 1e-8.
+        # The residual is relative to the largest target moment, so every
+        # point solves and builds its entanglement-based model.
+        rng = np.random.default_rng(20261018)
+        channel = ChannelModel(eta=0.5, epsilon=0.01)
+        for _ in range(300):
+            k = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 10.0)
+            v_s = 10.0 ** rng.uniform(-3.0, 0.0)
+            v_m = 10.0 ** rng.uniform(-2.0, 7.0)
+            sol = solve_bloch_messiah(k, v_s, v_m)
+            assert sol.residual <= 1e-8
+            build_eb_multimode(sol, v_s, v_m, k, channel)
+
     def test_default_leakage_variance_is_signal(self):
         a = solve_bloch_messiah(0.8, 0.5, 4.0)
         b = solve_bloch_messiah(0.8, 0.5, 4.0, 0.5)

@@ -266,9 +266,11 @@ class TestPremodBuilder:
 
 class TestNoisyChannel:
     def test_variance_map_formula(self):
+        # Tracing the purified environment out leaves the mode with
+        # V -> eta V + (1 - eta)(1 + epsilon) in both quadratures.
         rng = np.random.default_rng(7)
         from cvleak.gaussian import GaussianState, attach_vacuum, \
-            apply_squeezer
+            apply_squeezer, partial_trace
         for _ in range(20):
             v = rng.uniform(0.2, 5.0)
             eta = rng.uniform(0.05, 1.0)
@@ -277,42 +279,50 @@ class TestNoisyChannel:
             st = apply_squeezer(st, "m", -0.5 * math.log(v))
             ch = ChannelModel(eta=eta, epsilon=eps)
             out, env = apply_noisy_channel(st, "m", ch)
-            assert env == ()
-            want = channel_output_variance(v, ch)
-            assert abs(out.variance("m", "x") - want) < 1e-12
-            assert want == pytest.approx(eta * v + (1 - eta) * (1 + eps))
+            assert env == (("E_env",) if eps == 0.0
+                           else ("E_env", "E_env_twin"))
+            marginal = partial_trace(out, ["m"])
+            for quad, v_in in (("x", v), ("p", 1.0 / v)):
+                want = channel_output_variance(v_in, ch)
+                assert abs(marginal.variance("m", quad) - want) < 1e-12
+            assert channel_output_variance(v, ch) == pytest.approx(
+                eta * v + (1 - eta) * (1 + eps))
 
     def test_pure_loss_purified_is_beamsplitter_with_vacuum(self):
         from cvleak.gaussian import GaussianState, attach_vacuum
         st = attach_vacuum(GaussianState.empty(), "m")
-        out, env = apply_noisy_channel(st, "m", ChannelModel(eta=0.3),
-                                       purify=True)
-        assert env == ("m_env",)
+        out, env = apply_noisy_channel(st, "m", ChannelModel(eta=0.3))
+        assert env == ("E_env",)
         assert np.allclose(out.cm, np.eye(4))
 
     def test_identity_channel(self):
         from cvleak.gaussian import GaussianState, attach_vacuum
         st = attach_vacuum(GaussianState.empty(), "m")
-        out, env = apply_noisy_channel(st, "m", ChannelModel(eta=1.0),
-                                       purify=True)
+        out, env = apply_noisy_channel(st, "m", ChannelModel(eta=1.0))
         assert env == ()
         assert np.allclose(out.cm, st.cm)
 
     def test_purified_matches_unpurified_marginal(self):
+        # On (a, m) the purified channel leaves what the unpurified map
+        # gives: a kept, the variance of m mapped, the a-m correlations
+        # scaled by sqrt(eta).
         from cvleak.gaussian import GaussianState, attach_epr, partial_trace
         st = attach_epr(GaussianState.empty(), "a", "m", 3.0)
         ch = ChannelModel(eta=0.4, epsilon=0.1)
-        plain, _ = apply_noisy_channel(st, "m", ch)
-        purified, env = apply_noisy_channel(st, "m", ch, purify=True)
-        assert env == ("m_env", "m_env_twin")
-        red = partial_trace(purified, ["a", "m"])
-        assert np.max(np.abs(red.cm - plain.cm)) < 1e-12
+        out, env = apply_noisy_channel(st, "m", ch)
+        assert env == ("E_env", "E_env_twin")
+        red = partial_trace(out, ["a", "m"])
+        assert np.max(np.abs(red.block("a", "a") - st.block("a", "a"))) \
+            < 1e-12
+        assert np.max(np.abs(red.block("a", "m")
+                             - math.sqrt(0.4) * st.block("a", "m"))) < 1e-12
+        want = channel_output_variance(3.0, ch) * np.eye(2)
+        assert np.max(np.abs(red.block("m", "m") - want)) < 1e-12
 
     def test_purified_global_purity(self):
         from cvleak.gaussian import GaussianState, attach_epr
         st = attach_epr(GaussianState.empty(), "a", "m", 3.0)
         out, _ = apply_noisy_channel(st, "m",
-                                     ChannelModel(eta=0.4, epsilon=0.1),
-                                     purify=True)
+                                     ChannelModel(eta=0.4, epsilon=0.1))
         nus = symplectic_eigenvalues(out)
         assert np.max(np.abs(nus - 1.0)) < 1e-9
