@@ -1,9 +1,11 @@
 """Key rates: mutual informations, Holevo bounds, and closed-form limits.
 
-Individual attacks are evaluated in the prepare-and-measure picture with
-conditional variances (the eavesdropper homodynes her modes in the key
-quadrature); collective attacks use the purified entanglement-based models
-and Holevo bounds on the eavesdropper's reduced states.  The
+Individual attacks are evaluated in the prepare-and-measure (P&M) picture
+with conditional variances (the eavesdropper homodynes her modes in the key
+quadrature).  Collective attacks use Holevo bounds on the eavesdropper's
+reduced states: for reverse reconciliation on the P&M state with the
+channel purified, which the P&M and entanglement-based pictures share; for
+direct reconciliation on the purified entanglement-based models.  The
 strong-modulation, short-distance and premodulation closed forms are
 provided both for direct use and as independent cross-checks of the
 numeric machinery.
@@ -52,7 +54,9 @@ from .scenarios import (
     ProtocolChoice,
     ScenarioError,
     build_pm_multimode,
+    build_pm_multimode_constructive,
     build_pm_premod,
+    build_pm_premod_constructive,
     channel_output_variance,
     effective_leakage,
 )
@@ -228,12 +232,7 @@ def holevo_bound(model: PurifiedModel, direction: str = DIRECTION_RR,
     if defect > max(PURITY_TOL, physicality_tolerance(model.pre_channel.cm)):
         raise PhysicalityError(
             f"purified model is not pure (defect {defect:.3e})")
-    # Near-unit symplectic eigenvalues of reductions of this model can sit
-    # below 1 by the square root of the construction's rounding scale;
-    # clamping them to 1 costs nothing (g is flat there) while the default
-    # entropy gate would reject them as unphysical.
-    scale = max(1.0, float(np.max(np.abs(model.pre_channel.cm))))
-    nu_tol = max(1e-6, 50.0 * math.sqrt(np.finfo(float).eps * scale))
+    nu_tol = _nu_tolerance(model.pre_channel.cm)
 
     def entropy(state):
         return von_neumann_entropy(state, nu_tolerance=nu_tol)
@@ -258,7 +257,23 @@ def holevo_bound(model: PurifiedModel, direction: str = DIRECTION_RR,
         s_cond = entropy(partial_trace(cond, eve))
     else:
         raise ScenarioError(f"side must be 'eve' or 'trusted', got {side!r}")
-    chi = s_all - s_cond
+    return _nonnegative_chi(s_all - s_cond)
+
+
+def _nu_tolerance(cm: np.ndarray) -> float:
+    """Entropy clamp for reductions of a state built with entries up to cm's.
+
+    Near-unit symplectic eigenvalues of such reductions can sit below 1 by
+    the square root of the construction's rounding scale; clamping them to
+    1 costs nothing (g is flat there) while the default entropy gate would
+    reject them as unphysical.
+    """
+    scale = max(1.0, float(np.max(np.abs(cm))))
+    return max(1e-6, 50.0 * math.sqrt(np.finfo(float).eps * scale))
+
+
+def _nonnegative_chi(chi: float) -> float:
+    """Clamp rounding below zero; a clearly negative bound is unphysical."""
     if chi < 0.0:
         if chi < -1e-6:
             raise PhysicalityError(f"negative Holevo bound {chi}")
@@ -266,8 +281,29 @@ def holevo_bound(model: PurifiedModel, direction: str = DIRECTION_RR,
     return chi
 
 
+def _holevo_bound_pm(state: GaussianState) -> float:
+    """chi_BE = S(E) - S(E | x_B) on a prepare-and-measure state, in bits.
+
+    The eavesdropper holds every mode of ``state`` but B, so her state
+    conditioned on Bob's x homodyne is the whole conditional state.  The
+    P&M and entanglement-based pictures share this (B, E) state, so the
+    value equals ``holevo_bound(build_purified_model(...), "RR")`` without
+    a purification, and without the premodulation model's limit offsets.
+    """
+    nu_tol = _nu_tolerance(state.cm)
+    eve = [m for m in state.mode_labels if m != "B"]
+    s_all = von_neumann_entropy(partial_trace(state, eve), nu_tol)
+    s_cond = von_neumann_entropy(
+        joint_homodyne_condition(state, ["B"], "x"), nu_tol)
+    return _nonnegative_chi(s_all - s_cond)
+
+
 def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
-    """Entanglement-based model for either scenario, channel attached."""
+    """Entanglement-based model for either scenario, channel attached.
+
+    Collective DR rates are computed on it; collective RR rates need none
+    (:func:`_holevo_bound_pm`), so its domain limits bind DR only.
+    """
     if isinstance(scenario, MultimodeLeakageScenario):
         if scenario.n_modes == 0:
             v_l_eff, k_eff = 1.0, 0.0
@@ -277,7 +313,7 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
             first = scenario.leakage_variances[0]
             if any(abs(v - first) > 1e-12 for v in scenario.leakage_variances):
                 raise ScenarioError(
-                    "collective attacks with several distinct leakage "
+                    "collective DR rates with several distinct leakage "
                     "variances have no closed reduction; use identical "
                     "variances or a single mode")
             v_l_eff, k_eff = effective_leakage(scenario)
@@ -296,7 +332,7 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
         # are stated on v_m, the parameter the caller set.
         if not 1e-6 <= scenario.v_m < 1e5:
             raise ScenarioError(
-                f"premodulation collective rates need 1e-6 <= v_m < 1e5, "
+                f"premodulation collective DR rates need 1e-6 <= v_m < 1e5, "
                 f"got {scenario.v_m}")
         t1 = 1.0 - max(1e-6, scenario.v_m / 1e7)
         return build_eb_premod(scenario.v_s, scenario.v_m, scenario.eta_e,
@@ -306,22 +342,34 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
 
 def key_rate_collective(scenario, channel: ChannelModel,
                         protocol: ProtocolChoice) -> KeyRateReport:
-    """Key rate under collective attacks: beta I_AB - chi."""
+    """Key rate under collective attacks: beta I_AB - chi.
+
+    chi_BE (RR) comes from the prepare-and-measure state
+    (:func:`_holevo_bound_pm`), chi_AE (DR) from the entanglement-based
+    model (:func:`holevo_bound`).
+    """
     direction = protocol.direction
     if scenario.v_m == 0.0:
         return KeyRateReport(i_ab=0.0, eve_information=0.0, rate=0.0,
                              direction=direction, attack=ATTACK_COLLECTIVE,
                              beta=protocol.beta)
     i_ab = mutual_info_ab(scenario, channel)
-    model = build_purified_model(scenario, channel)
-    chi = holevo_bound(model, direction)
-    rate = protocol.beta * i_ab - chi
     if isinstance(scenario, MultimodeLeakageScenario):
-        v_in_cond = scenario.v_s
+        v_in_cond, build_pm = scenario.v_s, build_pm_multimode_constructive
     else:
         _, v_in_cond = _premod_input_variances(scenario)
+        build_pm = build_pm_premod_constructive
+    if direction == DIRECTION_RR:
+        state = build_pm(scenario, channel)
+        chi = _holevo_bound_pm(state)
+        v_b = state.variance("B", "x")
+    else:
+        model = build_purified_model(scenario, channel)
+        chi = holevo_bound(model, direction)
+        v_b = model.state.variance(model.bob_mode, "x")
+    rate = protocol.beta * i_ab - chi
     variances = {
-        "v_b": model.state.variance(model.bob_mode, "x"),
+        "v_b": v_b,
         "v_b_cond_a": channel_output_variance(v_in_cond, channel),
     }
     return KeyRateReport(i_ab=i_ab, eve_information=chi, rate=rate,

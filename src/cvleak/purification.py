@@ -1,7 +1,10 @@
 """Entanglement-based purifications of the two leakage scenarios.
 
-Collective-attack analysis needs the protocol rewritten as trusted
-measurements on a globally pure state.  Two constructions are provided:
+Collective direct-reconciliation rates are computed on the protocol
+rewritten as trusted measurements on a globally pure state; reverse
+reconciliation needs no purification (its Holevo bound is evaluated on the
+prepare-and-measure state), so these models serve it only as an
+independent cross-check.  Two constructions are provided:
 
 * multimode leakage: the Williamson purification of the target signal and
   leakage block (B, L), in closed form (:func:`solve_bloch_messiah`).  EPR

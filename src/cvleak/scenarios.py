@@ -35,10 +35,8 @@ import numpy as np
 from .gaussian import (
     GaussianState,
     apply_beamsplitter,
-    apply_squeezer,
     attach_epr,
     attach_vacuum,
-    partial_trace,
 )
 
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
@@ -278,13 +276,11 @@ def apply_noisy_channel(state: GaussianState, mode: str,
     return apply_beamsplitter(out, mode, ENV_MODE, channel.eta), env
 
 
-def _squeezed_source(state: GaussianState, label: str,
-                     variance: float) -> GaussianState:
-    """Attach a minimum-uncertainty mode with x variance ``variance``."""
-    out = attach_vacuum(state, label)
-    if variance != 1.0:
-        out = apply_squeezer(out, label, -0.5 * math.log(variance))
-    return out
+def _sources(labels: tuple[str, ...],
+             variances: tuple[float, ...]) -> GaussianState:
+    """Product of minimum-uncertainty modes, x variance v and p variance 1/v."""
+    diagonal = [w for v in variances for w in (v, 1.0 / v)]
+    return GaussianState(labels, np.diag(diagonal), check_physicality=False)
 
 
 def build_pm_multimode(scenario: MultimodeLeakageScenario,
@@ -294,8 +290,9 @@ def build_pm_multimode(scenario: MultimodeLeakageScenario,
     B is Bob's received mode, L the effective leakage mode held by the
     eavesdropper, E the environment mode of the purely lossy channel.  The
     leakage modes are first reduced to the effective single mode.  Only the
-    pure-loss analytic track is covered here; excess noise enters through
-    the purified entanglement-based models.
+    pure-loss analytic track of the individual attacks is covered here;
+    :func:`build_pm_multimode_constructive` builds the state with excess
+    noise and every leakage mode.
     """
     if channel.epsilon != 0.0:
         raise ScenarioError(
@@ -334,25 +331,23 @@ def build_pm_multimode(scenario: MultimodeLeakageScenario,
 
 def build_pm_multimode_constructive(scenario: MultimodeLeakageScenario,
                                     channel: ChannelModel) -> GaussianState:
-    """Same state as :func:`build_pm_multimode`, built step by step.
+    """Prepare-and-measure state of the multimode-leakage protocol.
 
-    Attaches the source modes, applies the shared modulation, and couples
-    the signal to the channel vacuum on a beam splitter.  Kept as an
-    independent construction for cross-checking the closed-form entries.
+    Bob's mode B and every leakage mode L1 ... LN start as independent
+    minimum-uncertainty sources, receive the shared modulation (ratio k on
+    each leakage mode), and B crosses the purified channel
+    (:func:`apply_noisy_channel`).  Every mode but B belongs to the
+    eavesdropper, so no reduction of the leakage modes is needed.  For one
+    leakage mode on a pure-loss channel this is the state of
+    :func:`build_pm_multimode`, modes in the same order.
     """
-    if channel.epsilon != 0.0:
-        raise ScenarioError("constructive multimode builder is pure-loss")
-    if scenario.n_modes >= 1:
-        v_l, k = effective_leakage(scenario)
-    else:
-        v_l, k = 1.0, 0.0
-    state = GaussianState.empty()
-    state = _squeezed_source(state, "B", scenario.v_s)
-    state = _squeezed_source(state, "L", v_l)
-    state = attach_vacuum(state, "E")
+    leak = tuple(f"L{i + 1}" for i in range(scenario.n_modes))
+    state = _sources(("B",) + leak,
+                     (scenario.v_s,) + scenario.leakage_variances)
+    k = scenario.k
     state = add_correlated_modulation(
-        state, [("B", 1.0, 1.0), ("L", k, -k)], scenario.v_m)
-    state = apply_beamsplitter(state, "B", "E", channel.eta)
+        state, [("B", 1.0, 1.0)] + [(m, k, -k) for m in leak], scenario.v_m)
+    state, _ = apply_noisy_channel(state, "B", channel)
     return state
 
 
@@ -396,21 +391,25 @@ def build_pm_premod(scenario: PremodLeakageScenario,
 
 def build_pm_premod_constructive(scenario: PremodLeakageScenario,
                                  channel: ChannelModel) -> GaussianState:
-    """Step-by-step oracle for :func:`build_pm_premod`.
+    """Prepare-and-measure state of the premodulation-leakage protocol.
 
-    A thermal side-channel input is realized as one arm of an EPR pair whose
-    twin is traced out at the end.
+    The signal source B meets the side-channel input ES on a beam splitter
+    of transmittance eta_e, is modulated, and crosses the purified channel
+    (:func:`apply_noisy_channel`).  A thermal side-channel input
+    (v_es > 1) is one arm of an EPR pair whose twin ES_twin the
+    eavesdropper holds too, so every mode but B is hers.  Two vacuum
+    inputs leave the beam splitter unchanged; it is skipped then, which
+    keeps coherent-state output exactly independent of eta_e.  On a
+    pure-loss channel the (B, ES, E_env) marginal is the state of
+    :func:`build_pm_premod`.
     """
-    if channel.epsilon != 0.0:
-        raise ScenarioError("constructive premod builder is pure-loss")
-    state = GaussianState.empty()
-    state = _squeezed_source(state, "B", scenario.v_s)
     if scenario.v_es == 1.0:
-        state = attach_vacuum(state, "ES")
+        state = _sources(("B", "ES"), (scenario.v_s, 1.0))
     else:
-        state = attach_epr(state, "ES", "ES_twin", scenario.v_es)
-    state = attach_vacuum(state, "E")
-    state = apply_beamsplitter(state, "B", "ES", scenario.eta_e)
+        state = attach_epr(_sources(("B",), (scenario.v_s,)), "ES",
+                           "ES_twin", scenario.v_es)
+    if not scenario.v_s == scenario.v_es == 1.0:
+        state = apply_beamsplitter(state, "B", "ES", scenario.eta_e)
     state = add_correlated_modulation(state, [("B", 1.0, 1.0)], scenario.v_m)
-    state = apply_beamsplitter(state, "B", "E", channel.eta)
-    return partial_trace(state, ["B", "ES", "E"])
+    state, _ = apply_noisy_channel(state, "B", channel)
+    return state

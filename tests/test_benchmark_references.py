@@ -16,7 +16,7 @@ from perfbench import checks, worker, workloads
 
 CASES = ([("individual-sweep", seed, 128) for seed in range(1, 11)]
          + [("collective-sweep", seed, 192) for seed in range(1, 11)]
-         + [("distance-solve", 1, 2)])
+         + [("distance-solve", 1, 4)])
 
 
 @pytest.mark.parametrize("workload, seed, n_ops", CASES)

@@ -187,6 +187,8 @@ attack = individual
         assert key in err
         assert "Traceback" not in err
 
+    # The premodulation entanglement-based model bounds v_m; only DR
+    # rates are computed on it.
     def test_premod_vm_ceiling_names_vm(self, tmp_path, capsys):
         self.check_premod_vm_named(tmp_path, capsys, "1e9")
 
@@ -194,8 +196,8 @@ attack = individual
         self.check_premod_vm_named(tmp_path, capsys, "1e-7")
 
     @staticmethod
-    def check_premod_vm_named(tmp_path, capsys, v_m):
-        cfg = write(tmp_path, "premod_vm.cfg", f"""
+    def premod_vm_config(tmp_path, v_m, direction):
+        return write(tmp_path, "premod_vm.cfg", f"""
 [scenario]
 type = premod
 v_s = 0.5
@@ -205,14 +207,27 @@ eta_e = 0.7
 eta = 0.5
 epsilon = 0.01
 [protocol]
-direction = RR
+direction = {direction}
 attack = collective
 beta = 0.95
 """)
+
+    def check_premod_vm_named(self, tmp_path, capsys, v_m):
+        cfg = self.premod_vm_config(tmp_path, v_m, "DR")
         assert main(["rate", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "v_m" in err
         assert "t1" not in err
+
+    @pytest.mark.parametrize("v_m", ["1e9", "1e-7"])
+    def test_premod_rr_has_no_vm_window(self, tmp_path, capsys, v_m):
+        # RR rates come from the prepare-and-measure state, which has no
+        # limit offset and so no v_m window.
+        cfg = self.premod_vm_config(tmp_path, v_m, "RR")
+        assert main(["rate", "--config", cfg]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert math.isfinite(record["rate"])
+        assert math.isfinite(record["chi"])
 
     def test_unphysical_model_exits_4(self, tmp_path, capsys):
         # Premodulation DR at strong squeezing: the Holevo bound meets a

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cvleak.gaussian import symplectic_eigenvalues
+from cvleak.gaussian import partial_trace, symplectic_eigenvalues
 from cvleak.scenarios import (
+    ENV_MODE,
     ChannelModel,
     MultimodeLeakageScenario,
     PremodLeakageScenario,
@@ -225,7 +226,10 @@ class TestPremodBuilder:
                 v_es=1.0 if rng.random() < 0.5 else rng.uniform(1.0, 2.0))
             ch = ChannelModel(eta=rng.uniform(0.05, 1.0))
             direct = build_pm_premod(sc, ch)
-            step = build_pm_premod_constructive(sc, ch)
+            # The constructive state also holds the eavesdropper's twin of
+            # a thermal side-channel input (ES_twin).
+            step = partial_trace(build_pm_premod_constructive(sc, ch),
+                                 ["B", "ES", ENV_MODE])
             assert np.max(np.abs(direct.cm - step.cm)) < 1e-10
 
     def test_coherent_vacuum_correlations_vanish(self):
