@@ -294,7 +294,12 @@ def heterodyne_condition(state: GaussianState, mode: str) -> GaussianState:
 
 def partial_trace(state: GaussianState,
                   keep: "list[str] | tuple[str, ...]") -> GaussianState:
-    """Reduced state over the requested modes, in the requested order."""
+    """Reduced state over the requested modes, in the requested order.
+
+    A request for every mode in the state's own order returns the state.
+    """
+    if tuple(keep) == state.mode_labels:
+        return state
     keep = list(keep)
     if len(set(keep)) != len(keep):
         raise ModeError("duplicate labels in partial_trace request")

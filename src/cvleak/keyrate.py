@@ -233,30 +233,23 @@ def holevo_bound(model: PurifiedModel, direction: str = DIRECTION_RR,
         raise PhysicalityError(
             f"purified model is not pure (defect {defect:.3e})")
     nu_tol = _nu_tolerance(model.pre_channel.cm)
-
-    def entropy(state):
-        return von_neumann_entropy(state, nu_tolerance=nu_tol)
-
     if direction == DIRECTION_RR:
         ref_modes, ref_meas = (model.bob_mode,), "homodyne_x"
     else:
         ref_modes = model.alice_modes
         ref_meas = model.alice_measurement
-    if side == "trusted":
-        trusted = partial_trace(model.state, list(model.trusted_modes))
-        s_all = entropy(trusted)
-        keep = [m for m in model.trusted_modes if m not in ref_modes]
-        cond = _condition_reference(trusted, ref_modes, ref_meas)
-        cond = partial_trace(cond, keep)
-        s_cond = entropy(cond)
-    elif side == "eve":
+    if side == "eve":
         eve = list(model.eve_modes)
-        s_all = entropy(partial_trace(model.state, eve))
         joint = partial_trace(model.state, eve + list(ref_modes))
-        cond = _condition_reference(joint, ref_modes, ref_meas)
-        s_cond = entropy(partial_trace(cond, eve))
-    else:
+        return _eve_chi(joint, eve, ref_modes, ref_meas, nu_tol)
+    if side != "trusted":
         raise ScenarioError(f"side must be 'eve' or 'trusted', got {side!r}")
+    trusted = partial_trace(model.state, list(model.trusted_modes))
+    s_all = von_neumann_entropy(trusted, nu_tolerance=nu_tol)
+    keep = [m for m in model.trusted_modes if m not in ref_modes]
+    cond = _condition_reference(trusted, ref_modes, ref_meas)
+    s_cond = von_neumann_entropy(partial_trace(cond, keep),
+                                 nu_tolerance=nu_tol)
     return _nonnegative_chi(s_all - s_cond)
 
 
@@ -281,20 +274,18 @@ def _nonnegative_chi(chi: float) -> float:
     return chi
 
 
-def _holevo_bound_pm(state: GaussianState) -> float:
-    """chi_BE = S(E) - S(E | x_B) on a prepare-and-measure state, in bits.
+def _eve_chi(state: GaussianState, eve: list, ref_modes, measurement: str,
+             nu_tol: float) -> float:
+    """S(E) - S(E | reference measurement) on the eavesdropper's modes.
 
-    The eavesdropper holds every mode of ``state`` but B, so her state
-    conditioned on Bob's x homodyne is the whole conditional state.  The
-    P&M and entanglement-based pictures share this (B, E) state, so the
-    value equals ``holevo_bound(build_purified_model(...), "RR")`` without
-    a purification, and without the premodulation model's limit offsets.
+    ``state`` holds exactly the eavesdropper's modes ``eve`` and the
+    reference modes, in any order.
     """
-    nu_tol = _nu_tolerance(state.cm)
-    eve = [m for m in state.mode_labels if m != "B"]
-    s_all = von_neumann_entropy(partial_trace(state, eve), nu_tol)
-    s_cond = von_neumann_entropy(
-        joint_homodyne_condition(state, ["B"], "x"), nu_tol)
+    s_all = von_neumann_entropy(partial_trace(state, eve),
+                                nu_tolerance=nu_tol)
+    cond = _condition_reference(state, ref_modes, measurement)
+    s_cond = von_neumann_entropy(partial_trace(cond, eve),
+                                 nu_tolerance=nu_tol)
     return _nonnegative_chi(s_all - s_cond)
 
 
@@ -302,7 +293,7 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
     """Entanglement-based model for either scenario, channel attached.
 
     Collective DR rates are computed on it; collective RR rates need none
-    (:func:`_holevo_bound_pm`), so its domain limits bind DR only.
+    (:func:`key_rate_collective`), so its domain limits bind DR only.
     """
     if isinstance(scenario, MultimodeLeakageScenario):
         if scenario.n_modes == 0:
@@ -344,9 +335,11 @@ def key_rate_collective(scenario, channel: ChannelModel,
                         protocol: ProtocolChoice) -> KeyRateReport:
     """Key rate under collective attacks: beta I_AB - chi.
 
-    chi_BE (RR) comes from the prepare-and-measure state
-    (:func:`_holevo_bound_pm`), chi_AE (DR) from the entanglement-based
-    model (:func:`holevo_bound`).
+    chi_AE (DR) comes from the entanglement-based model
+    (:func:`holevo_bound`).  chi_BE (RR) = S(E) - S(E | x_B) comes from the
+    prepare-and-measure state, where the eavesdropper holds every mode but
+    B: the P&M and entanglement-based pictures share this (B, E) state, so
+    no purification is needed, nor the premodulation model's limit offsets.
     """
     direction = protocol.direction
     if scenario.v_m == 0.0:
@@ -361,7 +354,9 @@ def key_rate_collective(scenario, channel: ChannelModel,
         build_pm = build_pm_premod_constructive
     if direction == DIRECTION_RR:
         state = build_pm(scenario, channel)
-        chi = _holevo_bound_pm(state)
+        eve = [m for m in state.mode_labels if m != "B"]
+        chi = _eve_chi(state, eve, ("B",), "homodyne_x",
+                       _nu_tolerance(state.cm))
         v_b = state.variance("B", "x")
     else:
         model = build_purified_model(scenario, channel)

@@ -447,6 +447,105 @@ class TestPrepareAndMeasureCrossCheck:
                     sc, ch, ProtocolChoice("DR", "collective", 0.95))
 
 
+def _mp_chi_be(scenario, channel):
+    """chi_BE of the P&M state in 60-digit arithmetic, built independently.
+
+    No state here correlates x with p, so each covariance matrix is an x
+    block and a p block, and the symplectic eigenvalues of a state are the
+    square roots of the eigenvalues of Vx Vp.  Mode 0 is B; the
+    eavesdropper holds all the others.  Beam splitters are applied as
+    rotations; their sign convention changes no entropy of hers.
+    """
+    mp = pytest.importorskip("mpmath")
+    ctx = mp.mp.clone()
+    ctx.dps = 60
+
+    def rotation(n, i, j, t):
+        s = ctx.eye(n)
+        s[i, i] = s[j, j] = ctx.sqrt(t)
+        s[i, j] = ctx.sqrt(1 - t)
+        s[j, i] = -s[i, j]
+        return s
+
+    def entropy(vx, vp):
+        total = ctx.mpf(0)
+        for ev in ctx.eig(vx * vp, left=False, right=False):
+            nu = ctx.sqrt(ctx.re(ev))
+            if nu > 1:
+                a, b = (nu + 1) / 2, (nu - 1) / 2
+                total += (a * ctx.log(a, 2) - b * ctx.log(b, 2))
+        return total
+
+    def eve(m):
+        return m[1:, 1:]
+
+    if isinstance(scenario, MultimodeLeakageScenario):
+        k = ctx.mpf(scenario.k)
+        leak = [ctx.mpf(v) for v in scenario.leakage_variances]
+        wx = ctx.matrix([1] + [k] * len(leak))
+        wp = ctx.matrix([1] + [-k] * len(leak))
+        vx = ctx.diag([ctx.mpf(scenario.v_s)] + leak)
+        vp = ctx.diag([1 / ctx.mpf(scenario.v_s)] + [1 / v for v in leak])
+    else:
+        v_es = ctx.mpf(scenario.v_es)
+        c = ctx.sqrt(v_es * v_es - 1)
+        vx = ctx.matrix([[scenario.v_s, 0, 0], [0, v_es, c], [0, c, v_es]])
+        vp = ctx.matrix([[1 / ctx.mpf(scenario.v_s), 0, 0],
+                         [0, v_es, -c], [0, -c, v_es]])
+        s = rotation(3, 0, 1, ctx.mpf(scenario.eta_e))
+        vx, vp = s * vx * s.T, s * vp * s.T
+        wx = wp = ctx.matrix([1, 0, 0])
+    v_m = ctx.mpf(scenario.v_m)
+    vx, vp = vx + v_m * wx * wx.T, vp + v_m * wp * wp.T
+    # The channel: B meets one arm of an EPR pair of variance 1 + epsilon.
+    n = vx.rows
+    w = 1 + ctx.mpf(channel.epsilon)
+    c = ctx.sqrt(w * w - 1)
+    grow_x, grow_p = ctx.zeros(n + 2), ctx.zeros(n + 2)
+    grow_x[:n, :n], grow_p[:n, :n] = vx, vp
+    grow_x[n:, n:] = ctx.matrix([[w, c], [c, w]])
+    grow_p[n:, n:] = ctx.matrix([[w, -c], [-c, w]])
+    s = rotation(n + 2, 0, n, ctx.mpf(channel.eta))
+    vx, vp = s * grow_x * s.T, s * grow_p * s.T
+    cross = vx[1:, 0]
+    cond_x = eve(vx) - cross * cross.T / vx[0, 0]
+    return float(entropy(eve(vx), eve(vp)) - entropy(cond_x, eve(vp)))
+
+
+class TestPrepareAndMeasureExtendedPrecision:
+    """Collective RR chi_BE on inputs the entanglement-based model does not
+    reach (premodulation v_m outside [1e-6, 1e5), distinct leakage
+    variances), against a 60-digit construction of the same P&M state.
+    Float64 loses digits as the moments grow; each bound is the largest
+    error observed on its grid (below 3e-13 up to v_m = 4, 2.9e-9
+    premodulation and 3.3e-8 multimode at v_m = 1e6, 1.3e-6 at
+    v_m = 1e9) with a margin."""
+
+    proto = ProtocolChoice("RR", "collective", 0.95)
+
+    @pytest.mark.parametrize("v_m, tol", [(1e-7, 1e-11), (4.0, 1e-11),
+                                          (1e6, 1e-8), (1e9, 3e-6)])
+    def test_premod(self, v_m, tol):
+        for v_s, v_es, eta, eps in itertools.product(
+                (0.05, 1.0), (1.0, 3.0), (0.1, 0.7), (0.0, 0.03)):
+            sc = PremodLeakageScenario(v_s=v_s, v_m=v_m, eta_e=0.6,
+                                       v_es=v_es)
+            ch = ChannelModel(eta=eta, epsilon=eps)
+            got = key_rate_collective(sc, ch, self.proto).eve_information
+            assert abs(got - _mp_chi_be(sc, ch)) <= tol, (sc, ch)
+
+    @pytest.mark.parametrize("v_m, tol", [(4.0, 1e-11), (1e6, 1e-7)])
+    def test_heterogeneous_multimode(self, v_m, tol):
+        for leakage, k, eta, eps in itertools.product(
+                ((0.4, 0.9, 2.5), (0.01, 1.0)), (0.5, 3.0), (0.1, 0.7),
+                (0.0, 0.03)):
+            sc = MultimodeLeakageScenario(v_s=0.3, v_m=v_m, k=k,
+                                          leakage_variances=leakage)
+            ch = ChannelModel(eta=eta, epsilon=eps)
+            got = key_rate_collective(sc, ch, self.proto).eve_information
+            assert abs(got - _mp_chi_be(sc, ch)) <= tol, (sc, ch)
+
+
 class TestPremodDrNoise:
     """Collective premodulation DR rates carry noise of order 1e-4 bit.
 
@@ -486,6 +585,9 @@ class TestCensusCorners:
         assert math.isfinite(rep.rate)
         assert rep.eve_information == pytest.approx(pm_chi_be(sc, ch),
                                                     abs=1e-7)
+        # Collective DR and `cvleak validate` still purify at these corners.
+        assert holevo_bound(build_purified_model(sc, ch), "RR") == \
+            pytest.approx(pm_chi_be(sc, ch), abs=1e-7)
 
 
 class TestLargeMoments:
@@ -502,6 +604,8 @@ class TestLargeMoments:
             if direction == "RR":
                 assert rep.eve_information == pytest.approx(
                     pm_chi_be(sc, ch), abs=1e-7)
+        assert holevo_bound(build_purified_model(sc, ch), "RR") == \
+            pytest.approx(pm_chi_be(sc, ch), abs=1e-7)
 
 
 class TestMultimodeAsymptotics:
