@@ -3,7 +3,8 @@
 Subcommands
 -----------
 rate      single key-rate evaluation, printed as JSON
-sweep     grid evaluation over one parameter axis, written as CSV or JSON
+sweep     grid evaluation over one parameter axis, written as CSV or JSON;
+          the points are evaluated in axis order, one after another
 optimize  modulation/squeezing optimization or security-boundary search
 validate  closed-form-vs-numeric self-check suite and golden-file support
 
@@ -14,9 +15,11 @@ shot-noise units, distances in km, rates in bits per channel use; epsilon
 and beta are fractions (0.01, not "1%").
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 configuration error
-(including non-finite or out-of-domain parameters), 3 I/O error,
-4 computation failure (the covariance model was unphysical or the
-purification did not reproduce the target moments at the requested point).
+(including non-finite or out-of-domain parameters), 3 I/O error (including
+a golden snapshot that does not parse), 4 computation failure (the
+covariance model was unphysical or the purification did not reproduce the
+target moments at the requested point).  :func:`main` alone maps errors to
+these codes and prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import dataclasses
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,6 +73,9 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"invalid JSON configuration: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("JSON configuration must be an object")
+        for name, section in data.items():
+            if not isinstance(section, dict):
+                raise ConfigError(f"JSON section {name!r} must be an object")
         return {str(k): {str(kk): vv for kk, vv in v.items()}
                 for k, v in data.items()}
     sections: dict[str, dict] = {}
@@ -188,9 +193,9 @@ def build_channel(cfg: dict) -> ChannelModel:
     if eta is not None and distance is not None:
         raise ConfigError("give either 'eta' or 'distance_km' in "
                           "[channel], not both")
-    if eta is None:
-        eta = distance_to_transmittance(distance, att)
     try:
+        if eta is None:
+            eta = distance_to_transmittance(distance, att)
         return ChannelModel(
             eta=eta,
             epsilon=_take(section, "channel", "epsilon", _as_float,
@@ -251,6 +256,11 @@ def render_config(scenario, channel: ChannelModel,
     return "\n".join(lines) + "\n"
 
 
+# "rate" rows carry rate, i_ab, eve_information and secure; "distance"
+# rows carry the secure distance at each grid point.
+_SWEEP_QUANTITIES = ("rate", "distance")
+
+
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
     """One-axis grid evaluation request."""
@@ -271,8 +281,9 @@ class SweepSpec:
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"scale must be linear or log, "
                               f"got {self.scale!r}")
-        if self.quantity not in ("rate", "i_ab", "chi", "distance"):
-            raise ConfigError(f"unknown sweep quantity {self.quantity!r}")
+        if self.quantity not in _SWEEP_QUANTITIES:
+            raise ConfigError(f"unknown sweep quantity {self.quantity!r}; "
+                              f"expected one of {_SWEEP_QUANTITIES}")
         if self.scale == "log" and (self.start <= 0 or self.stop <= 0):
             raise ConfigError("log scale needs positive start/stop")
 
@@ -348,20 +359,10 @@ def evaluate_sweep_point(scenario, channel, protocol, spec: SweepSpec,
 
 def run_sweep(scenario, channel, protocol, spec: SweepSpec,
               workers: int = 1) -> list[dict]:
-    values = list(spec.grid())
-    if workers <= 1:
-        return [evaluate_sweep_point(scenario, channel, protocol, spec, v)
-                for v in values]
-    rows: list = [None] * len(values)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(evaluate_sweep_point, scenario, channel, protocol,
-                        spec, v): i
-            for i, v in enumerate(values)
-        }
-        for future, index in futures.items():
-            rows[index] = future.result()
-    return rows
+    # ``workers`` is ignored: sweeps are sequential, and the keyword stays
+    # only while perfbench/worker.py still passes workers=1.
+    return [evaluate_sweep_point(scenario, channel, protocol, spec, v)
+            for v in spec.grid()]
 
 
 _UNITS_COMMENT = ("# units: variances in SNU, distances in km, rates in "
@@ -390,94 +391,62 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_text(path: str, content: str) -> None:
-    try:
+def _load(args):
+    """Read ``--config``: the section dicts, scenario, channel, protocol."""
+    with open(args.config) as handle:
+        cfg = parse_config_text(handle.read())
+    return cfg, build_scenario(cfg), build_channel(cfg), build_protocol(cfg)
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
         with open(path, "w") as handle:
-            handle.write(content)
-    except OSError as exc:
-        raise IOError(f"cannot write {path}: {exc}") from exc
-
-
-def _read_config(path: str | None) -> dict:
-    if path is None:
-        raise ConfigError("--config PATH is required for this subcommand")
-    try:
-        with open(path) as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise IOError(f"cannot read {path}: {exc}") from exc
-    return parse_config_text(text)
-
-
-def cmd_rate(args) -> int:
-    cfg = _read_config(args.config)
-    scenario = build_scenario(cfg)
-    channel = build_channel(cfg)
-    protocol = build_protocol(cfg)
-    try:
-        report = key_rate(scenario, channel, protocol)
-    except ScenarioError as exc:
-        raise ConfigError(str(exc)) from exc
-    payload = json.dumps(report.to_record(), indent=2, sort_keys=True)
-    if args.output:
-        _write_text(args.output, payload + "\n")
+            handle.write(text)
     else:
-        print(payload)
-    return 0
+        sys.stdout.write(text)
 
 
-def cmd_sweep(args) -> int:
-    cfg = _read_config(args.config)
-    scenario = build_scenario(cfg)
-    channel = build_channel(cfg)
-    protocol = build_protocol(cfg)
+def cmd_rate(args) -> None:
+    _, scenario, channel, protocol = _load(args)
+    report = key_rate(scenario, channel, protocol)
+    _emit(args.output,
+          json.dumps(report.to_record(), indent=2, sort_keys=True) + "\n")
+
+
+def cmd_sweep(args) -> None:
+    cfg, scenario, channel, protocol = _load(args)
     spec = build_sweep(cfg, scenario)
-    try:
-        rows = run_sweep(scenario, channel, protocol, spec,
-                         workers=args.workers)
-    except ScenarioError as exc:
-        raise ConfigError(str(exc)) from exc
-    out_path = args.output or spec.output
+    rows = run_sweep(scenario, channel, protocol, spec)
     if args.format == "json":
-        payload = json.dumps(rows, indent=2)
+        payload = json.dumps(rows, indent=2) + "\n"
     else:
         payload = format_rows_csv(rows)
-    if out_path:
-        _write_text(out_path, payload if payload.endswith("\n")
-                    else payload + "\n")
-    else:
-        print(payload, end="" if payload.endswith("\n") else "\n")
-    return 0
+    _emit(args.output or spec.output, payload)
 
 
-def cmd_optimize(args) -> int:
-    cfg = _read_config(args.config)
-    scenario = build_scenario(cfg)
-    channel = build_channel(cfg)
-    protocol = build_protocol(cfg)
+def cmd_optimize(args) -> None:
+    cfg, scenario, channel, protocol = _load(args)
     section = cfg.get("optimize", {})
     target = str(_take(section, "optimize", "target", str,
                        required=True)).lower()
     strong = _take(section, "optimize", "strong_modulation", _as_bool,
                    default=False)
-    try:
-        if target == "v_m":
-            result = optimize_vm(scenario, channel, protocol)
-        elif target == "v_s":
-            result = optimize_squeezing(scenario, channel, protocol,
-                                        strong_modulation=strong)
-        elif target == "distance":
-            result = secure_distance(
-                scenario, protocol, channel,
-                optimize_v_s=_take(section, "optimize", "optimize_v_s",
-                                   _as_bool, default=False))
-        elif target == "k_max":
-            result = max_tolerable_k(scenario, channel, protocol,
-                                     strong_modulation=strong)
-        else:
-            raise ConfigError(f"unknown optimize target {target!r}")
-    except ScenarioError as exc:
-        raise ConfigError(str(exc)) from exc
+    if target == "v_m":
+        result = optimize_vm(scenario, channel, protocol)
+    elif target == "v_s":
+        result = optimize_squeezing(scenario, channel, protocol,
+                                    strong_modulation=strong)
+    elif target == "distance":
+        result = secure_distance(
+            scenario, protocol, channel,
+            optimize_v_s=_take(section, "optimize", "optimize_v_s",
+                               _as_bool, default=False))
+    elif target == "k_max":
+        result = max_tolerable_k(scenario, channel, protocol,
+                                 strong_modulation=strong)
+    else:
+        raise ConfigError(f"unknown optimize target {target!r}")
     payload = {
         "target": target,
         "x": result.x if math.isfinite(result.x) else "unbounded",
@@ -486,15 +455,22 @@ def cmd_optimize(args) -> int:
         "bracket": list(result.bracket),
         "converged": result.converged,
     }
-    text = json.dumps(payload, indent=2)
-    if args.output:
-        _write_text(args.output, text + "\n")
-    else:
-        print(text)
-    return 0
+    _emit(args.output, json.dumps(payload, indent=2) + "\n")
+
+
+def _read_golden(path: str) -> np.ndarray:
+    """The snapshot matrix in ``path``; a file that does not parse is an
+    I/O error, like one that cannot be read."""
+    with open(path) as handle:
+        text = handle.read()
+    try:
+        return parse_matrix_snapshot(text)
+    except ValueError as exc:
+        raise OSError(f"cannot parse {path}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
+    """Run the self-checks; the number of failed checks."""
     results = validation.run_all_checks()
     failures = 0
     for check in results:
@@ -505,14 +481,10 @@ def cmd_validate(args) -> int:
               f"tolerance={check.tolerance:.1e}")
     if args.write_golden:
         state = validation.reference_snapshot_state()
-        _write_text(args.write_golden, format_matrix_snapshot(state.cm))
+        _emit(args.write_golden, format_matrix_snapshot(state.cm))
         print(f"golden snapshot written to {args.write_golden}")
     if args.golden:
-        try:
-            with open(args.golden) as handle:
-                golden = parse_matrix_snapshot(handle.read())
-        except OSError as exc:
-            raise IOError(f"cannot read {args.golden}: {exc}") from exc
+        golden = _read_golden(args.golden)
         state = validation.reference_snapshot_state()
         if golden.shape != state.cm.shape:
             diff = math.inf
@@ -525,11 +497,11 @@ def cmd_validate(args) -> int:
               f"tolerance={GOLDEN_TOL:.1e}")
     if args.solutions:
         rows = validation.solution_table()
-        _write_text(args.solutions, format_rows_csv(rows))
+        _emit(args.solutions, format_rows_csv(rows))
         print(f"purification solutions written to {args.solutions}")
     total = len(results) + (1 if args.golden else 0)
     print(f"{total - failures}/{total} checks passed")
-    return 1 if failures else 0
+    return failures
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="one-axis parameter sweep")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--output")
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -566,19 +537,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        failures = args.func(args)
+    except (ConfigError, ScenarioError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except IOError as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (PhysicalityError, SolverError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 4
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

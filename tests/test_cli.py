@@ -116,6 +116,16 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec(axis="k", start=0.0, stop=1.0, steps=1)
 
+    @pytest.mark.parametrize("quantity", ["i_ab", "chi"])
+    def test_only_rate_and_distance_quantities(self, quantity):
+        # Every rate row already carries i_ab and eve_information, so a
+        # quantity that names them would write the same rows as "rate".
+        cfg = parse_config_text(BASE_CONFIG + "\n[sweep]\naxis = k\n"
+                                "start = 0\nstop = 1\nsteps = 3\n"
+                                f"quantity = {quantity}\n")
+        with pytest.raises(ConfigError, match="'rate', 'distance'"):
+            build_sweep(cfg, build_scenario(cfg))
+
     def test_axis_must_exist(self):
         cfg = parse_config_text(BASE_CONFIG + "\n[sweep]\naxis = eta_e\n"
                                 "start = 0\nstop = 1\nsteps = 3\n")
@@ -134,20 +144,6 @@ class TestSweepSpec:
         lines = csv_text.strip().splitlines()
         assert lines[0].startswith("#")      # units policy line
         assert len(lines) == 4               # comment + header + 2 rows
-
-
-class TestSweepDeterminism:
-    def test_rows_identical_across_worker_counts(self):
-        cfg = parse_config_text(BASE_CONFIG)
-        scenario = build_scenario(cfg)
-        channel = build_channel(cfg)
-        protocol = build_protocol(cfg)
-        spec = SweepSpec(axis="k", start=0.0, stop=1.0, steps=6)
-        serial = format_rows_csv(run_sweep(scenario, channel, protocol,
-                                           spec, workers=1))
-        threaded = format_rows_csv(run_sweep(scenario, channel, protocol,
-                                             spec, workers=4))
-        assert serial == threaded
 
 
 class TestCommands:
@@ -389,11 +385,15 @@ stop = 1.0
 steps = 4
 """)
         paths = [str(tmp_path / f"out{i}.csv") for i in (1, 2)]
-        for i, path in enumerate(paths):
-            workers = ["--workers", str(3 if i else 1)]
-            assert main(["sweep", "--config", cfg, "--output", path]
-                        + workers) == 0
+        for path in paths:
+            assert main(["sweep", "--config", cfg, "--output", path]) == 0
         assert open(paths[0]).read() == open(paths[1]).read()
+
+    def test_workers_option_is_gone(self, tmp_path):
+        cfg = write(tmp_path, "s.cfg", BASE_CONFIG)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--config", cfg, "--workers", "2"])
+        assert exit_info.value.code == 2
 
     def test_optimize_vm_json(self, tmp_path, capsys):
         cfg = write(tmp_path, "o.cfg", """
@@ -485,6 +485,28 @@ target = distance
 
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["rate", "--config", "/nonexistent/zz.cfg"]) == 3
+
+    # Exit 1 means a validation-suite failure, so no bad input may escape
+    # as a traceback (which also exits 1).
+    @pytest.mark.parametrize("command, name, text, code, expect", [
+        ("rate", "neg.cfg",
+         BASE_CONFIG.replace("eta = 0.4", "distance_km = -5"),
+         2, "distance"),
+        ("rate", "section.json", '{"scenario": 5}', 2, "'scenario'"),
+        ("validate", "words.txt", "abc def\n", 3, "words.txt"),
+        ("validate", "ragged.txt", "1 0\n0\n", 3, "ragged.txt"),
+    ])
+    def test_bad_input_exits_with_one_line(self, tmp_path, capsys, command,
+                                           name, text, code, expect):
+        path = write(tmp_path, name, text)
+        flag = "--config" if command == "rate" else "--golden"
+        assert main([command, flag, path]) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert expect in err
+        assert "Traceback" not in err
+        prefix = "i/o error:" if code == 3 else "configuration error:"
+        assert err.startswith(prefix)
 
 
 class TestValidateCommand:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvleak import keyrate
-from cvleak.gaussian import joint_homodyne_condition
+from cvleak.gaussian import PhysicalityError, joint_homodyne_condition
 from cvleak.keyrate import (
     dr_shortdistance_rate,
     holevo_bound,
@@ -23,6 +23,7 @@ from cvleak.keyrate import (
     premod_perfect_channel_rates,
     build_purified_model,
 )
+from cvleak.purification import SolverError
 from cvleak.scenarios import (
     ChannelModel,
     MultimodeLeakageScenario,
@@ -233,6 +234,50 @@ class TestIndividualDomain:
         sc = PremodLeakageScenario(v_s=v_s, v_m=v_m, eta_e=eta_e, v_es=v_es)
         rep = key_rate_individual(sc, ChannelModel(eta=eta), direction)
         assert math.isfinite(rep.rate)
+
+
+# The collective domain adds excess noise and reconciliation efficiency,
+# each within 0.1 of its ideal value.
+EPSILON = st.one_of(st.just(0.0), st.floats(0.0, 0.1))
+BETA = st.one_of(st.just(1.0), st.floats(0.9, 1.0))
+TYPED_ERRORS = (ScenarioError, PhysicalityError, SolverError)
+
+
+def _collective_rate_or_typed_error(sc, eta, epsilon, direction, beta):
+    protocol = ProtocolChoice(direction=direction, attack="collective",
+                              beta=beta)
+    try:
+        rep = key_rate_collective(sc, ChannelModel(eta=eta, epsilon=epsilon),
+                                  protocol)
+    except TYPED_ERRORS:
+        return
+    assert math.isfinite(rep.rate)
+
+
+class TestCollectiveDomain:
+    """Every collective-attack input in the declared domain gives a finite
+    rate or a typed, documented error."""
+
+    @PROPERTY_SETTINGS
+    @given(v_s=V_S, v_m=V_M, k=st.floats(0.0, 20.0),
+           leakage=st.lists(_log_uniform(1e-3, 1e3), min_size=1,
+                            max_size=3, unique=True),
+           eta=ETA, epsilon=EPSILON, direction=DIRECTION, beta=BETA)
+    def test_multimode_rate_or_typed_error(self, v_s, v_m, k, leakage, eta,
+                                           epsilon, direction, beta):
+        sc = MultimodeLeakageScenario(v_s=v_s, v_m=v_m, k=k,
+                                      leakage_variances=tuple(leakage))
+        _collective_rate_or_typed_error(sc, eta, epsilon, direction, beta)
+
+    @PROPERTY_SETTINGS
+    @given(v_s=V_S, v_m=V_M,
+           eta_e=st.one_of(st.just(1.0), _log_uniform(1e-3, 1.0)),
+           v_es=st.one_of(st.just(1.0), _log_uniform(1.0, 1e3)),
+           eta=ETA, epsilon=EPSILON, direction=DIRECTION, beta=BETA)
+    def test_premod_rate_or_typed_error(self, v_s, v_m, eta_e, v_es, eta,
+                                        epsilon, direction, beta):
+        sc = PremodLeakageScenario(v_s=v_s, v_m=v_m, eta_e=eta_e, v_es=v_es)
+        _collective_rate_or_typed_error(sc, eta, epsilon, direction, beta)
 
 
 class TestHolevoBound:
