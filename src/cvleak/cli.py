@@ -10,9 +10,12 @@ validate  closed-form-vs-numeric self-check suite and golden-file support
 
 Configuration is a flat key-value text file with [scenario], [channel],
 [protocol] and command-specific sections; a JSON object with the same
-section names is accepted as an alternative encoding.  Units: variances in
-shot-noise units, distances in km, rates in bits per channel use; epsilon
-and beta are fractions (0.01, not "1%").
+section names is accepted as an alternative encoding.  A section is read
+into its record, one key per field, keeping the record's defaults; its
+builder reads the few keys that are not fields, and any other key or
+section is a configuration error.  Units: variances in shot-noise units,
+distances in km, rates in bits per channel use; epsilon and beta are
+fractions (0.01, not "1%").
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 configuration error
 (including non-finite or out-of-domain parameters), 3 I/O error (including
@@ -29,6 +32,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 
 import numpy as np
 
@@ -63,6 +67,10 @@ class ConfigError(ValueError):
     """Configuration problem; the message names the offending key."""
 
 
+# One file may serve every subcommand, each reading some of these sections.
+_SECTIONS = ("scenario", "channel", "protocol", "sweep", "optimize")
+
+
 def parse_config_text(text: str) -> dict:
     """Parse the flat key-value format (or JSON) into section dicts."""
     stripped = text.lstrip()
@@ -76,8 +84,17 @@ def parse_config_text(text: str) -> dict:
         for name, section in data.items():
             if not isinstance(section, dict):
                 raise ConfigError(f"JSON section {name!r} must be an object")
-        return {str(k): {str(kk): vv for kk, vv in v.items()}
-                for k, v in data.items()}
+        sections = {str(k): {str(kk): vv for kk, vv in v.items()}
+                    for k, v in data.items()}
+    else:
+        sections = _parse_flat(text)
+    for name in sections:
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+    return sections
+
+
+def _parse_flat(text: str) -> dict:
     sections: dict[str, dict] = {}
     current: dict | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -112,10 +129,6 @@ def _take(section: dict, section_name: str, key: str, conv, default=None,
             f"bad value for '{key}' in [{section_name}]: {raw!r}") from exc
 
 
-def _as_float(raw) -> float:
-    return float(raw)
-
-
 def _as_int(raw) -> int:
     return int(str(raw))
 
@@ -137,122 +150,111 @@ def _as_float_list(raw) -> tuple[float, ...]:
     return tuple(float(tok) for tok in str(raw).split(",") if tok.strip())
 
 
+# Converter of a config value, by the annotated type of the record field.
+_CONVERTERS = {float: float, int: _as_int, bool: _as_bool, str: str,
+               str | None: str, tuple[float, ...]: _as_float_list}
+
+
+def _check_keys(section: dict, name: str, known) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in [{name}]")
+
+
+def _read_record(cls, section: dict, name: str, extra=(), **given):
+    """Build the record ``cls`` from the config section ``[name]``.
+
+    Every field not in ``given`` is one key, converted by the field's
+    annotated type; an absent key keeps the record's default, and is an
+    error when the field has none.  ``extra`` names the keys the caller
+    reads itself; any other key is an error.
+    """
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _check_keys(section, name, [f.name for f in fields] + list(extra))
+    values = dict(given)
+    for field in fields:
+        if field.name in section or field.default is dataclasses.MISSING:
+            values[field.name] = _take(section, name, field.name,
+                                       _CONVERTERS[hints[field.name]],
+                                       required=True)
+    try:
+        return cls(**values)
+    except ScenarioError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from exc
+
+
+def _render_section(name: str, record, *head: str) -> list[str]:
+    """``[name]``, the ``head`` lines, then one line per record field."""
+    lines = [f"[{name}]", *head]
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, tuple):
+            text = ",".join(repr(v) for v in value)
+        else:
+            text = value if isinstance(value, str) else repr(value)
+        lines.append(f"{field.name} = {text}")
+    return lines
+
+
 def build_scenario(cfg: dict):
     section = cfg.get("scenario")
     if not section:
         raise ConfigError("missing [scenario] section")
-    kind = str(_take(section, "scenario", "type", str,
-                     required=True)).lower()
-    try:
-        if kind == "multimode":
-            leak = _take(section, "scenario", "leakage_variances",
-                         _as_float_list, default=(1.0,))
-            n_modes = _take(section, "scenario", "n_modes", _as_int)
-            if n_modes is not None and n_modes != len(leak):
-                if len(leak) == 1:
-                    leak = leak * n_modes
-                else:
-                    raise ConfigError(
-                        "n_modes does not match leakage_variances")
-            return MultimodeLeakageScenario(
-                v_s=_take(section, "scenario", "v_s", _as_float,
-                          required=True),
-                v_m=_take(section, "scenario", "v_m", _as_float,
-                          required=True),
-                k=_take(section, "scenario", "k", _as_float, default=0.0),
-                leakage_variances=leak,
-            )
-        if kind == "premod":
-            return PremodLeakageScenario(
-                v_s=_take(section, "scenario", "v_s", _as_float,
-                          required=True),
-                v_m=_take(section, "scenario", "v_m", _as_float,
-                          required=True),
-                eta_e=_take(section, "scenario", "eta_e", _as_float,
-                            default=1.0),
-                v_es=_take(section, "scenario", "v_es", _as_float,
-                           default=1.0),
-            )
-    except ScenarioError as exc:
-        raise ConfigError(f"[scenario]: {exc}") from exc
-    raise ConfigError(f"unknown scenario type {kind!r} "
-                      f"(expected multimode or premod)")
+    kind = _take(section, "scenario", "type", str, required=True).lower()
+    if kind == "premod":
+        return _read_record(PremodLeakageScenario, section, "scenario",
+                            ("type",))
+    if kind != "multimode":
+        raise ConfigError(f"unknown scenario type {kind!r} "
+                          f"(expected multimode or premod)")
+    scenario = _read_record(MultimodeLeakageScenario, section, "scenario",
+                            ("type", "n_modes"))
+    n_modes = _take(section, "scenario", "n_modes", _as_int)
+    if n_modes is None or n_modes == scenario.n_modes:
+        return scenario
+    if scenario.n_modes != 1:
+        raise ConfigError("n_modes does not match leakage_variances")
+    return dataclasses.replace(
+        scenario, leakage_variances=scenario.leakage_variances * n_modes)
 
 
 def build_channel(cfg: dict) -> ChannelModel:
     section = cfg.get("channel")
     if not section:
         raise ConfigError("missing [channel] section")
-    att = _take(section, "channel", "attenuation_db_per_km", _as_float,
-                default=0.2)
-    eta = _take(section, "channel", "eta", _as_float)
-    distance = _take(section, "channel", "distance_km", _as_float)
-    if eta is None and distance is None:
-        raise ConfigError("missing key 'eta' (or 'distance_km') "
-                          "in [channel]")
-    if eta is not None and distance is not None:
+    if "distance_km" not in section:
+        if "eta" not in section:
+            raise ConfigError("missing key 'eta' (or 'distance_km') "
+                              "in [channel]")
+        return _read_record(ChannelModel, section, "channel")
+    if "eta" in section:
         raise ConfigError("give either 'eta' or 'distance_km' in "
                           "[channel], not both")
+    distance = _take(section, "channel", "distance_km", float)
+    # eta = 1 holds the place until the distance sets it through the
+    # record's attenuation.
+    channel = _read_record(ChannelModel, section, "channel",
+                           ("distance_km",), eta=1.0)
     try:
-        if eta is None:
-            eta = distance_to_transmittance(distance, att)
-        return ChannelModel(
-            eta=eta,
-            epsilon=_take(section, "channel", "epsilon", _as_float,
-                          default=0.0),
-            attenuation_db_per_km=att,
-        )
+        return dataclasses.replace(channel, eta=distance_to_transmittance(
+            distance, channel.attenuation_db_per_km))
     except ScenarioError as exc:
         raise ConfigError(f"[channel]: {exc}") from exc
 
 
 def build_protocol(cfg: dict) -> ProtocolChoice:
-    section = cfg.get("protocol", {})
-    try:
-        return ProtocolChoice(
-            direction=_take(section, "protocol", "direction", str,
-                            default="RR"),
-            attack=_take(section, "protocol", "attack", str,
-                         default="collective"),
-            beta=_take(section, "protocol", "beta", _as_float, default=1.0),
-        )
-    except ScenarioError as exc:
-        raise ConfigError(f"[protocol]: {exc}") from exc
+    return _read_record(ProtocolChoice, cfg.get("protocol", {}), "protocol")
 
 
 def render_config(scenario, channel: ChannelModel,
                   protocol: ProtocolChoice) -> str:
     """Serialize a parsed configuration back to the flat text format."""
-    lines = ["[scenario]"]
-    if isinstance(scenario, MultimodeLeakageScenario):
-        lines += [
-            "type = multimode",
-            f"v_s = {scenario.v_s!r}",
-            f"v_m = {scenario.v_m!r}",
-            f"k = {scenario.k!r}",
-            "leakage_variances = "
-            + ",".join(repr(v) for v in scenario.leakage_variances),
-        ]
-    else:
-        lines += [
-            "type = premod",
-            f"v_s = {scenario.v_s!r}",
-            f"v_m = {scenario.v_m!r}",
-            f"eta_e = {scenario.eta_e!r}",
-            f"v_es = {scenario.v_es!r}",
-        ]
-    lines += [
-        "",
-        "[channel]",
-        f"eta = {channel.eta!r}",
-        f"epsilon = {channel.epsilon!r}",
-        f"attenuation_db_per_km = {channel.attenuation_db_per_km!r}",
-        "",
-        "[protocol]",
-        f"direction = {protocol.direction}",
-        f"attack = {protocol.attack}",
-        f"beta = {protocol.beta!r}",
-    ]
+    kind = ("multimode" if isinstance(scenario, MultimodeLeakageScenario)
+            else "premod")
+    lines = (_render_section("scenario", scenario, f"type = {kind}") + [""]
+             + _render_section("channel", channel) + [""]
+             + _render_section("protocol", protocol))
     return "\n".join(lines) + "\n"
 
 
@@ -301,14 +303,6 @@ def build_sweep(cfg: dict, scenario) -> SweepSpec:
     section = cfg.get("sweep")
     if not section:
         raise ConfigError("missing [sweep] section")
-    axis = str(_take(section, "sweep", "axis", str, required=True))
-    valid = _SCENARIO_AXES + _CHANNEL_AXES + ("distance_km",)
-    if axis not in valid:
-        raise ConfigError(f"unknown sweep axis {axis!r}; "
-                          f"expected one of {valid}")
-    if axis in _SCENARIO_AXES and not hasattr(scenario, axis):
-        raise ConfigError(f"axis {axis!r} does not exist on the "
-                          f"configured scenario")
     optimize_flags = _take(section, "sweep", "optimize",
                            lambda raw: [t.strip() for t in
                                         str(raw).split(",") if t.strip()],
@@ -316,17 +310,17 @@ def build_sweep(cfg: dict, scenario) -> SweepSpec:
     for flag in optimize_flags:
         if flag not in ("v_m", "v_s"):
             raise ConfigError(f"unknown optimize flag {flag!r}")
-    return SweepSpec(
-        axis=axis,
-        start=_take(section, "sweep", "start", _as_float, required=True),
-        stop=_take(section, "sweep", "stop", _as_float, required=True),
-        steps=_take(section, "sweep", "steps", _as_int, required=True),
-        scale=_take(section, "sweep", "scale", str, default="linear"),
-        quantity=_take(section, "sweep", "quantity", str, default="rate"),
-        optimize_v_m="v_m" in optimize_flags,
-        optimize_v_s="v_s" in optimize_flags,
-        output=_take(section, "sweep", "output", str),
-    )
+    spec = _read_record(SweepSpec, section, "sweep", ("optimize",),
+                        optimize_v_m="v_m" in optimize_flags,
+                        optimize_v_s="v_s" in optimize_flags)
+    valid = _SCENARIO_AXES + _CHANNEL_AXES + ("distance_km",)
+    if spec.axis not in valid:
+        raise ConfigError(f"unknown sweep axis {spec.axis!r}; "
+                          f"expected one of {valid}")
+    if spec.axis in _SCENARIO_AXES and not hasattr(scenario, spec.axis):
+        raise ConfigError(f"axis {spec.axis!r} does not exist on the "
+                          f"configured scenario")
+    return spec
 
 
 def evaluate_sweep_point(scenario, channel, protocol, spec: SweepSpec,
@@ -428,8 +422,10 @@ def cmd_sweep(args) -> None:
 def cmd_optimize(args) -> None:
     cfg, scenario, channel, protocol = _load(args)
     section = cfg.get("optimize", {})
-    target = str(_take(section, "optimize", "target", str,
-                       required=True)).lower()
+    _check_keys(section, "optimize",
+                ("target", "strong_modulation", "optimize_v_s"))
+    target = _take(section, "optimize", "target", str,
+                   required=True).lower()
     strong = _take(section, "optimize", "strong_modulation", _as_bool,
                    default=False)
     if target == "v_m":
@@ -495,10 +491,6 @@ def cmd_validate(args) -> int:
             failures += 1
         print(f"{status}  golden snapshot comparison: residual={diff:.3e} "
               f"tolerance={GOLDEN_TOL:.1e}")
-    if args.solutions:
-        rows = validation.solution_table()
-        _emit(args.solutions, format_rows_csv(rows))
-        print(f"purification solutions written to {args.solutions}")
     total = len(results) + (1 if args.golden else 0)
     print(f"{total - failures}/{total} checks passed")
     return failures
@@ -530,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--golden", help="compare against a golden snapshot")
     p_val.add_argument("--write-golden", dest="write_golden",
                        help="write the reference snapshot")
-    p_val.add_argument("--solutions",
-                       help="write purification solutions as CSV")
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -191,7 +191,12 @@ def distance_to_transmittance(
     """Transmittance of a fiber of the given length: 10^(-att * d / 10)."""
     if distance_km < 0.0:
         raise ScenarioError(f"distance must be >= 0, got {distance_km}")
-    return 10.0 ** (-attenuation_db_per_km * distance_km / 10.0)
+    eta = 10.0 ** (-attenuation_db_per_km * distance_km / 10.0)
+    if eta == 0.0:
+        raise ScenarioError(
+            f"distance {distance_km} km at {attenuation_db_per_km} dB/km "
+            f"gives a transmittance below the smallest float")
+    return eta
 
 
 def with_parameter(scenario, channel: ChannelModel, name: str,

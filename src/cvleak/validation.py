@@ -278,23 +278,31 @@ def check_eb_pm_premod() -> CheckResult:
                        worst, 1e-8)
 
 
-def check_premod_limit_stability() -> CheckResult:
-    """Halving the limit offsets moves downstream rates by < 1e-5 bits."""
-    worst = 0.0
+def check_rr_pm_vs_eb() -> CheckResult:
+    """Collective RR chi_BE on the P&M state agrees with the EB model.
+
+    Rates compute chi_BE on the prepare-and-measure state, which is the
+    offset-free limit of the premodulation EB model; the agreement bounds
+    the effect of the EB limit offsets on RR as well.
+    """
+    from .keyrate import build_purified_model, holevo_bound
     proto = ProtocolChoice("RR", "collective", 0.95)
-    ch = ChannelModel(eta=0.25, epsilon=0.02)
-    for v_s, v_m, eta_e in ((0.5, 4.0, 0.6), (0.1, 7.0, 0.9)):
-        rates = []
-        for scale in (1.0, 0.5):
-            model = build_eb_premod(v_s, v_m, eta_e, ch,
-                                    t1=1.0 - 1e-6 * scale,
-                                    v_s0=1e-6 * scale)
-            from .keyrate import holevo_bound
-            sc = PremodLeakageScenario(v_s=v_s, v_m=v_m, eta_e=eta_e)
-            chi = holevo_bound(model, "RR")
-            rates.append(proto.beta * mutual_info_ab(sc, ch) - chi)
-        worst = max(worst, abs(rates[0] - rates[1]))
-    return CheckResult("premod limit stability", worst, 1e-5)
+    premod_ch = ChannelModel(eta=0.25, epsilon=0.02)
+    multi_ch = ChannelModel(eta=0.45, epsilon=0.03)
+    points = [(PremodLeakageScenario(v_s=v_s, v_m=v_m, eta_e=eta_e),
+               premod_ch)
+              for v_s, v_m, eta_e in ((0.5, 4.0, 0.6), (0.1, 7.0, 0.9))]
+    points += [(MultimodeLeakageScenario(v_s=v_s, v_m=v_m, k=k,
+                                         leakage_variances=(v_l,)), multi_ch)
+               for k, v_s, v_m, v_l in ((0.7, 0.5, 4.0, 0.5),
+                                        (1.3, 0.8, 9.0, 1.0))]
+    worst = 0.0
+    for sc, ch in points:
+        chi = key_rate_collective(sc, ch, proto).eve_information
+        eb = holevo_bound(build_purified_model(sc, ch), "RR")
+        worst = max(worst, abs(chi - eb))
+    return CheckResult("collective RR chi_BE: P&M state vs EB model",
+                       worst, 1e-6)
 
 
 def check_pre_channel_purity() -> CheckResult:
@@ -436,7 +444,7 @@ ALL_CHECKS = (
     check_bloch_messiah_residuals,
     check_eb_pm_multimode,
     check_eb_pm_premod,
-    check_premod_limit_stability,
+    check_rr_pm_vs_eb,
     check_pre_channel_purity,
     check_holevo_duality,
     check_cross_purification_consistency,
@@ -456,19 +464,3 @@ def reference_snapshot_state() -> GaussianState:
     sc = MultimodeLeakageScenario(v_s=0.5, v_m=4.0, k=0.7,
                                   leakage_variances=(0.5,))
     return build_pm_multimode(sc, ChannelModel(eta=0.6))
-
-
-def solution_table() -> list[dict]:
-    """Purification solutions over the sample grid, for CSV regression."""
-    rows = []
-    for k, v_s, v_m, v_l in bloch_messiah_sample_grid():
-        sol = solve_bloch_messiah(k, v_s, v_m, v_l)
-        x = sol.x_map
-        rows.append({
-            "k": k, "v_s": v_s, "v_m": v_m, "v_l": v_l,
-            "v1": sol.v1, "v2": sol.v2,
-            "x_map_00": x[0, 0], "x_map_01": x[0, 1],
-            "x_map_10": x[1, 0], "x_map_11": x[1, 1],
-            "residual": sol.residual,
-        })
-    return rows

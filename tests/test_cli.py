@@ -18,7 +18,12 @@ from cvleak.cli import (
     render_config,
     run_sweep,
 )
-from cvleak.scenarios import PremodLeakageScenario
+from cvleak.scenarios import (
+    ChannelModel,
+    MultimodeLeakageScenario,
+    PremodLeakageScenario,
+    ProtocolChoice,
+)
 
 BASE_CONFIG = """
 [scenario]
@@ -37,6 +42,18 @@ direction = RR
 attack = individual
 beta = 1.0
 """
+
+
+def to_text(cfg):
+    """The flat text encoding of a dict of sections."""
+    lines = []
+    for name, section in cfg.items():
+        lines.append(f"[{name}]")
+        for key, value in section.items():
+            if isinstance(value, list):
+                value = ",".join(str(v) for v in value)
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def write(tmp_path, name, text):
@@ -85,8 +102,19 @@ class TestConfigParsing:
         channel = build_channel(cfg)
         assert channel.eta == pytest.approx(0.1)
 
-    def test_round_trip(self):
-        cfg = parse_config_text(BASE_CONFIG)
+    @pytest.mark.parametrize("encode", [to_text, json.dumps])
+    @pytest.mark.parametrize("cfg", [
+        parse_config_text(BASE_CONFIG),
+        {"scenario": {"type": "premod", "v_s": 0.5, "v_m": 4.0,
+                      "eta_e": 0.7, "v_es": 2.0},
+         "channel": {"distance_km": 30.0, "epsilon": 0.01},
+         "protocol": {"direction": "DR", "beta": 0.95}},
+        {"scenario": {"type": "multimode", "v_s": 0.3, "v_m": 9.0, "k": 1.5,
+                      "leakage_variances": [0.3, 0.8]},
+         "channel": {"eta": 0.6}},
+    ])
+    def test_round_trip(self, cfg, encode):
+        cfg = parse_config_text(encode(cfg))
         scenario = build_scenario(cfg)
         channel = build_channel(cfg)
         protocol = build_protocol(cfg)
@@ -94,6 +122,24 @@ class TestConfigParsing:
         assert build_scenario(again) == scenario
         assert build_channel(again) == channel
         assert build_protocol(again) == protocol
+
+    # A config with only the required keys gets every other value from the
+    # record's own defaults.
+    @pytest.mark.parametrize("name, section, want", [
+        ("scenario", {"type": "multimode", "v_s": 0.5, "v_m": 4.0},
+         MultimodeLeakageScenario(v_s=0.5, v_m=4.0)),
+        ("scenario", {"type": "premod", "v_s": 0.5, "v_m": 4.0},
+         PremodLeakageScenario(v_s=0.5, v_m=4.0)),
+        ("channel", {"eta": 0.4}, ChannelModel(eta=0.4)),
+        ("protocol", {}, ProtocolChoice()),
+        ("sweep", {"axis": "eta", "start": 0.1, "stop": 0.9, "steps": 3},
+         SweepSpec(axis="eta", start=0.1, stop=0.9, steps=3)),
+    ])
+    def test_required_keys_only(self, name, section, want):
+        build = {"scenario": build_scenario, "channel": build_channel,
+                 "protocol": build_protocol,
+                 "sweep": lambda cfg: build_sweep(cfg, None)}[name]
+        assert build(parse_config_text(to_text({name: section}))) == want
 
     def test_n_modes_expansion(self):
         cfg = parse_config_text(BASE_CONFIG.replace(
@@ -486,12 +532,44 @@ target = distance
     def test_missing_config_file_is_io_error(self, capsys):
         assert main(["rate", "--config", "/nonexistent/zz.cfg"]) == 3
 
+    @pytest.mark.parametrize("encode", [to_text, json.dumps])
+    @pytest.mark.parametrize("command, section, key, expect", [
+        ("rate", "scenario", "kk", "unknown key 'kk' in [scenario]"),
+        ("rate", "channel", "epsilonn",
+         "unknown key 'epsilonn' in [channel]"),
+        ("rate", "protocol", "directon",
+         "unknown key 'directon' in [protocol]"),
+        # The flag is spelled ``optimize = v_m``.
+        ("sweep", "sweep", "optimize_v_m",
+         "unknown key 'optimize_v_m' in [sweep]"),
+        ("optimize", "optimize", "strong",
+         "unknown key 'strong' in [optimize]"),
+        ("rate", "bogus", "x", "unknown section [bogus]"),
+    ])
+    def test_unknown_key_or_section_exits_2(self, tmp_path, capsys, encode,
+                                            command, section, key, expect):
+        cfg = parse_config_text(BASE_CONFIG)
+        cfg["sweep"] = {"axis": "k", "start": "0", "stop": "1",
+                        "steps": "2"}
+        cfg["optimize"] = {"target": "v_m"}
+        cfg.setdefault(section, {})[key] = "1"
+        path = write(tmp_path, "typo.cfg", encode(cfg))
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert expect in err
+        assert "Traceback" not in err
+
     # Exit 1 means a validation-suite failure, so no bad input may escape
     # as a traceback (which also exits 1).
     @pytest.mark.parametrize("command, name, text, code, expect", [
         ("rate", "neg.cfg",
          BASE_CONFIG.replace("eta = 0.4", "distance_km = -5"),
          2, "distance"),
+        # The transmittance underflows to 0 beyond about 16 200 km.
+        ("rate", "far.cfg",
+         BASE_CONFIG.replace("eta = 0.4", "distance_km = 20000"),
+         2, "distance 20000"),
         ("rate", "section.json", '{"scenario": 5}', 2, "'scenario'"),
         ("validate", "words.txt", "abc def\n", 3, "words.txt"),
         ("validate", "ragged.txt", "1 0\n0\n", 3, "ragged.txt"),
@@ -512,21 +590,20 @@ target = distance
 class TestValidateCommand:
     def test_full_suite_passes(self, tmp_path, capsys):
         golden = str(tmp_path / "golden.txt")
-        solutions = str(tmp_path / "solutions.csv")
-        assert main(["validate", "--write-golden", golden,
-                     "--solutions", solutions]) == 0
+        assert main(["validate", "--write-golden", golden]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 12
         assert "FAIL" not in out
-        header = open(solutions).read().strip().splitlines()[1]
-        assert header.split(",") == [
-            "k", "v_s", "v_m", "v_l", "v1", "v2", "x_map_00", "x_map_01",
-            "x_map_10", "x_map_11", "residual"]
 
         # golden round-trip comparison
         assert main(["validate", "--golden", golden]) == 0
         out = capsys.readouterr().out
         assert "golden snapshot comparison" in out
+
+    def test_solutions_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--solutions", str(tmp_path / "x.csv")])
+        assert exit_info.value.code == 2
 
     def test_golden_mismatch_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad_golden.txt"
