@@ -10,10 +10,20 @@ Modes are addressed by opaque string labels rather than indices, so protocol
 code can say "condition on mode E" without tracking positions.  Every
 operation returns a new state; nothing is mutated in place, which makes the
 functions safe to call concurrently.
+
+Beneath the labelled API each operation has one label-free array core that
+acts on plain covariance matrices with modes at fixed positions:
+:func:`append_block` (with :func:`epr_block`), :func:`beamsplitter` (and
+:func:`symplectic_map`), :func:`schur_condition` and
+:func:`covariance_entropy`.  The labelled functions translate labels to rows,
+call their core and wrap the result in one :class:`GaussianState`; code that
+already knows the mode order (the collective reverse-reconciliation rate)
+calls the cores directly and builds no state at all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
 
@@ -47,16 +57,18 @@ def physicality_tolerance(cm: np.ndarray) -> float:
     return max(PHYSICALITY_ATOL, 4.0 * np.finfo(float).eps * scale * scale)
 
 
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2N x 2N symplectic form for (x1, p1, ..., xN, pN) ordering.
 
     Block diagonal with 2x2 blocks [[0, 1], [-1, 0]]; satisfies omega @ omega
-    = -identity.
+    = -identity.  Built once per size and shared, so the array is read-only.
     """
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for i in range(n_modes):
         omega[2 * i, 2 * i + 1] = 1.0
         omega[2 * i + 1, 2 * i] = -1.0
+    omega.flags.writeable = False
     return omega
 
 
@@ -136,6 +148,14 @@ class GaussianState:
         i = 2 * self.index(label) + _quad_offset(quadrature)
         return float(self.cm[i, i])
 
+    def rows(self, labels, quadrature: "str | None" = None) -> list[int]:
+        """Covariance rows of the listed modes, in the listed order.
+
+        Both quadratures of each mode, or only ``quadrature`` ('x'/'p').
+        """
+        offsets = (0, 1) if quadrature is None else (_quad_offset(quadrature),)
+        return [2 * self.index(l) + q for l in labels for q in offsets]
+
 
 def _quad_offset(quadrature: str) -> int:
     if quadrature == "x":
@@ -145,16 +165,44 @@ def _quad_offset(quadrature: str) -> int:
     raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
 
 
+def append_block(cm: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Array core: cm with the modes of ``block`` appended, uncorrelated."""
+    n, m = len(cm), len(block)
+    out = np.zeros((n + m, n + m))
+    out[:n, :n] = cm
+    out[n:, n:] = block
+    return out
+
+
+def epr_block(variance: float) -> np.ndarray:
+    """Array core: covariance of a two-mode squeezed vacuum of variance V.
+
+    Both modes get diagonal variance V; the x quadratures are correlated
+    by +sqrt(V^2 - 1) and the p quadratures by -sqrt(V^2 - 1), so the pair is
+    pure for every V >= 1.
+    """
+    if variance < 1.0:
+        raise ValueError(f"EPR variance must be >= 1, got {variance}")
+    c = math.sqrt(variance * variance - 1.0)
+    return np.array([
+        [variance, 0.0, c, 0.0],
+        [0.0, variance, 0.0, -c],
+        [c, 0.0, variance, 0.0],
+        [0.0, -c, 0.0, variance],
+    ])
+
+
+def _require_new(state: GaussianState, labels) -> None:
+    for label in labels:
+        if state.has_mode(label):
+            raise ModeError(f"mode {label!r} already present")
+
+
 def attach_vacuum(state: GaussianState, label: str) -> GaussianState:
     """Append one vacuum mode (unit variances, no correlations)."""
-    if state.has_mode(label):
-        raise ModeError(f"mode {label!r} already present")
-    n = state.n_modes
-    cm = np.zeros((2 * n + 2, 2 * n + 2))
-    cm[:2 * n, :2 * n] = state.cm
-    cm[2 * n, 2 * n] = 1.0
-    cm[2 * n + 1, 2 * n + 1] = 1.0
-    return GaussianState(state.mode_labels + (label,), cm,
+    _require_new(state, (label,))
+    return GaussianState(state.mode_labels + (label,),
+                         append_block(state.cm, np.eye(2)),
                          check_physicality=False)
 
 
@@ -162,60 +210,68 @@ def attach_epr(state: GaussianState, label_a: str, label_b: str,
                variance: float) -> GaussianState:
     """Append a two-mode squeezed vacuum (EPR) pair of variance V >= 1.
 
-    Both new modes get diagonal variance V; the x quadratures are correlated
-    by +sqrt(V^2 - 1) and the p quadratures by -sqrt(V^2 - 1), so the pair is
-    pure for every V.
+    The pair's covariance is :func:`epr_block`.
     """
-    if variance < 1.0:
-        raise ValueError(f"EPR variance must be >= 1, got {variance}")
-    for label in (label_a, label_b):
-        if state.has_mode(label):
-            raise ModeError(f"mode {label!r} already present")
+    block = epr_block(variance)
+    _require_new(state, (label_a, label_b))
     if label_a == label_b:
         raise ModeError("EPR labels must differ")
-    c = math.sqrt(variance * variance - 1.0)
-    n = state.n_modes
-    cm = np.zeros((2 * n + 4, 2 * n + 4))
-    cm[:2 * n, :2 * n] = state.cm
-    block = np.array([
-        [variance, 0.0, c, 0.0],
-        [0.0, variance, 0.0, -c],
-        [c, 0.0, variance, 0.0],
-        [0.0, -c, 0.0, variance],
-    ])
-    cm[2 * n:, 2 * n:] = block
-    return GaussianState(state.mode_labels + (label_a, label_b), cm,
+    return GaussianState(state.mode_labels + (label_a, label_b),
+                         append_block(state.cm, block),
                          check_physicality=False)
 
 
-def apply_beamsplitter(state: GaussianState, mode_a: str, mode_b: str,
-                       transmittance: float) -> GaussianState:
-    """Mix two modes on a beam splitter of transmittance T in [0, 1].
+def symplectic_map(cm: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Array core: S @ cm @ S.T, with the rounding asymmetry averaged out."""
+    m = s @ cm @ s.T
+    return 0.5 * (m + m.T)
+
+
+def beamsplitter_matrix(n_modes: int, ia: int, ib: int,
+                        transmittance: float) -> np.ndarray:
+    """Symplectic matrix of a beam splitter between modes ia and ib.
 
     Input-output relation on the quadrature vectors (v_a, v_b):
 
         v_a ->  sqrt(T) v_a + sqrt(1-T) v_b
         v_b -> -sqrt(1-T) v_a + sqrt(T) v_b
 
-    applied identically to x and p.  The covariance matrix maps to
-    S @ cm @ S.T; all other modes are untouched.
+    applied identically to x and p; all other modes are untouched.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], "
                          f"got {transmittance}")
-    ia, ib = state.index(mode_a), state.index(mode_b)
-    if ia == ib:
-        raise ModeError("beam splitter needs two distinct modes")
     t = math.sqrt(transmittance)
     rf = math.sqrt(1.0 - transmittance)
-    s = np.eye(2 * state.n_modes)
+    s = np.eye(2 * n_modes)
     for q in range(2):
         a, b = 2 * ia + q, 2 * ib + q
         s[a, a] = t
         s[a, b] = rf
         s[b, a] = -rf
         s[b, b] = t
-    return GaussianState(state.mode_labels, s @ state.cm @ s.T,
+    return s
+
+
+def beamsplitter(cm: np.ndarray, ia: int, ib: int,
+                 transmittance: float) -> np.ndarray:
+    """Array core: mix modes ia and ib on a beam splitter of transmittance T."""
+    s = beamsplitter_matrix(len(cm) // 2, ia, ib, transmittance)
+    return symplectic_map(cm, s)
+
+
+def apply_beamsplitter(state: GaussianState, mode_a: str, mode_b: str,
+                       transmittance: float) -> GaussianState:
+    """Mix two modes on a beam splitter of transmittance T in [0, 1].
+
+    The covariance matrix maps to S @ cm @ S.T with S from
+    :func:`beamsplitter_matrix`; all other modes are untouched.
+    """
+    ia, ib = state.index(mode_a), state.index(mode_b)
+    if ia == ib:
+        raise ModeError("beam splitter needs two distinct modes")
+    return GaussianState(state.mode_labels,
+                         beamsplitter(state.cm, ia, ib, transmittance),
                          check_physicality=False)
 
 
@@ -227,37 +283,44 @@ def apply_squeezer(state: GaussianState, mode: str, r: float) -> GaussianState:
     s = np.eye(2 * state.n_modes)
     s[2 * i, 2 * i] = math.exp(-r)
     s[2 * i + 1, 2 * i + 1] = math.exp(r)
-    return GaussianState(state.mode_labels, s @ state.cm @ s.T,
+    return GaussianState(state.mode_labels, symplectic_map(state.cm, s),
                          check_physicality=False)
+
+
+def schur_condition(cm: np.ndarray, keep, measured,
+                    regularize: bool) -> np.ndarray:
+    """Array core: covariance of rows ``keep`` given the ``measured`` rows.
+
+    ``keep`` and ``measured`` are lists of rows or slices.  One Schur
+    complement, gamma_keep - sigma M^-1 sigma^T, with M the measured rows'
+    covariance (plus the identity for heterodyne, ``regularize``).  Joint
+    conditioning never forms the large intermediates that conditioning one
+    mode at a time would.  A homodyne variance that is not positive belongs
+    to no physical state and raises PhysicalityError.
+    """
+    gamma_rest = cm[keep][:, keep]
+    sigma = cm[keep][:, measured]
+    block = cm[measured][:, measured]
+    if regularize:
+        block = block + np.eye(len(block))
+    elif not (block.diagonal() > 0.0).all():
+        raise PhysicalityError(
+            f"measured quadrature variances {block.diagonal()} are not "
+            f"all positive")
+    update = sigma @ np.linalg.solve(block, sigma.T)
+    return gamma_rest - 0.5 * (update + update.T)
 
 
 def _joint_condition(state: GaussianState, modes, measured_rows,
                      regularize: bool) -> GaussianState:
-    """Condition on the measured quadrature rows with one Schur complement.
-
-    The kept modes' covariance becomes gamma_rest - sigma M^-1 sigma^T, M
-    the measured rows' covariance (plus the identity for heterodyne).
-    Joint conditioning never forms the large intermediates that
-    conditioning one mode at a time would.  A homodyne variance that is not
-    positive belongs to no physical state and raises PhysicalityError.
-    """
+    """Condition on the measured quadrature rows (:func:`schur_condition`)."""
     for mode in modes:
         state.index(mode)
     if len(set(modes)) != len(modes):
         raise ModeError("duplicate modes in joint conditioning")
     keep_rows = [i for i in range(2 * state.n_modes)
                  if (state.mode_labels[i // 2] not in modes)]
-    gamma_rest = state.cm[np.ix_(keep_rows, keep_rows)]
-    sigma = state.cm[np.ix_(keep_rows, measured_rows)]
-    block = state.cm[np.ix_(measured_rows, measured_rows)]
-    if regularize:
-        block = block + np.eye(len(measured_rows))
-    elif not all(state.cm[r, r] > 0.0 for r in measured_rows):
-        raise PhysicalityError(
-            f"measured quadrature variances {block.diagonal()} are not "
-            f"all positive")
-    update = sigma @ np.linalg.solve(block, sigma.T)
-    cond = gamma_rest - 0.5 * (update + update.T)
+    cond = schur_condition(state.cm, keep_rows, measured_rows, regularize)
     labels = tuple(l for l in state.mode_labels if l not in modes)
     return GaussianState(labels, cond, check_physicality=False)
 
@@ -266,19 +329,14 @@ def joint_homodyne_condition(state: GaussianState, modes,
                              quadrature: str) -> GaussianState:
     """Condition on one quadrature of each listed mode, jointly."""
     modes = list(modes)
-    off = _quad_offset(quadrature)
-    rows = [2 * state.index(m) + off for m in modes]
+    rows = state.rows(modes, quadrature)
     return _joint_condition(state, modes, rows, regularize=False)
 
 
 def joint_heterodyne_condition(state: GaussianState, modes) -> GaussianState:
     """Condition on heterodyne outcomes of all listed modes, jointly."""
     modes = list(modes)
-    rows: list[int] = []
-    for mode in modes:
-        i = state.index(mode)
-        rows.extend([2 * i, 2 * i + 1])
-    return _joint_condition(state, modes, rows, regularize=True)
+    return _joint_condition(state, modes, state.rows(modes), regularize=True)
 
 
 def homodyne_condition(state: GaussianState, mode: str,
@@ -303,12 +361,9 @@ def partial_trace(state: GaussianState,
     keep = list(keep)
     if len(set(keep)) != len(keep):
         raise ModeError("duplicate labels in partial_trace request")
-    rows = []
-    for label in keep:
-        i = state.index(label)
-        rows.extend([2 * i, 2 * i + 1])
-    cm = state.cm[np.ix_(rows, rows)]
-    return GaussianState(tuple(keep), cm, check_physicality=False)
+    rows = state.rows(keep)
+    return GaussianState(tuple(keep), state.cm[rows][:, rows],
+                         check_physicality=False)
 
 
 def _symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
@@ -362,11 +417,17 @@ def entropy_g(nu: float, nu_tolerance: float = ENTROPY_NU_CLAMP) -> float:
     return a * math.log2(a) - b * math.log2(b)
 
 
+def covariance_entropy(cm: np.ndarray,
+                       nu_tolerance: float = ENTROPY_NU_CLAMP) -> float:
+    """Array core: von Neumann entropy of a covariance matrix, in bits."""
+    return float(sum(entropy_g(float(nu), nu_tolerance)
+                     for nu in _symplectic_eigenvalues(cm)))
+
+
 def von_neumann_entropy(state: GaussianState,
                         nu_tolerance: float = ENTROPY_NU_CLAMP) -> float:
     """Von Neumann entropy of the state in bits (0 for pure states)."""
-    return float(sum(entropy_g(float(nu), nu_tolerance)
-                     for nu in symplectic_eigenvalues(state)))
+    return covariance_entropy(state.cm, nu_tolerance)
 
 
 def format_matrix_snapshot(cm: np.ndarray) -> str:

@@ -3,12 +3,16 @@
 Individual attacks are evaluated in the prepare-and-measure (P&M) picture
 with conditional variances (the eavesdropper homodynes her modes in the key
 quadrature).  Collective attacks use Holevo bounds on the eavesdropper's
-reduced states: for reverse reconciliation on the P&M state with the
-channel purified, which the P&M and entanglement-based pictures share; for
-direct reconciliation on the purified entanglement-based models.  The
-strong-modulation, short-distance and premodulation closed forms are
-provided both for direct use and as independent cross-checks of the
-numeric machinery.
+reduced states: for reverse reconciliation on the P&M covariance matrix
+with the channel purified, which the P&M and entanglement-based pictures
+share; for direct reconciliation on the purified entanglement-based
+models.  The reverse-reconciliation bound runs on the array cores of
+:mod:`cvleak.gaussian` at the fixed mode positions of
+:func:`~cvleak.scenarios.pm_multimode_cm` and
+:func:`~cvleak.scenarios.pm_premod_cm` (Bob's mode first), so it builds no
+labelled state.  The strong-modulation, short-distance and premodulation
+closed forms are provided both for direct use and as independent
+cross-checks of the numeric machinery.
 
 Lower bound on the secret key rate per channel use, in bits:
 
@@ -29,11 +33,13 @@ import numpy as np
 from .gaussian import (
     GaussianState,
     PhysicalityError,
+    covariance_entropy,
     homodyne_condition,  # unused here; perfbench/tracer.py wraps this name
     joint_heterodyne_condition,
     joint_homodyne_condition,
     partial_trace,
     physicality_tolerance,
+    schur_condition,
     von_neumann_entropy,
 )
 from .purification import (
@@ -54,11 +60,11 @@ from .scenarios import (
     ProtocolChoice,
     ScenarioError,
     build_pm_multimode,
-    build_pm_multimode_constructive,
     build_pm_premod,
-    build_pm_premod_constructive,
     channel_output_variance,
     effective_leakage,
+    pm_multimode_cm,
+    pm_premod_cm,
 )
 
 
@@ -239,9 +245,10 @@ def holevo_bound(model: PurifiedModel, direction: str = DIRECTION_RR,
         ref_modes = model.alice_modes
         ref_meas = model.alice_measurement
     if side == "eve":
-        eve = list(model.eve_modes)
-        joint = partial_trace(model.state, eve + list(ref_modes))
-        return _eve_chi(joint, eve, ref_modes, ref_meas, nu_tol)
+        state, heterodyne = model.state, ref_meas == "heterodyne"
+        ref_rows = state.rows(ref_modes, None if heterodyne else "x")
+        return _eve_chi(state.cm, state.rows(model.eve_modes), ref_rows,
+                        heterodyne, nu_tol)
     if side != "trusted":
         raise ScenarioError(f"side must be 'eve' or 'trusted', got {side!r}")
     trusted = partial_trace(model.state, list(model.trusted_modes))
@@ -274,19 +281,18 @@ def _nonnegative_chi(chi: float) -> float:
     return chi
 
 
-def _eve_chi(state: GaussianState, eve: list, ref_modes, measurement: str,
+def _eve_chi(cm: np.ndarray, eve_rows, ref_rows, heterodyne: bool,
              nu_tol: float) -> float:
-    """S(E) - S(E | reference measurement) on the eavesdropper's modes.
+    """S(E) - S(E | reference measurement) on the eavesdropper's rows.
 
-    ``state`` holds exactly the eavesdropper's modes ``eve`` and the
-    reference modes, in any order.
+    ``eve_rows`` index the eavesdropper's quadratures in ``cm`` and
+    ``ref_rows`` the measured reference quadratures (both quadratures of
+    each reference mode for a heterodyne measurement, which adds the
+    vacuum to their covariance); either may be a list of rows or a slice.
     """
-    s_all = von_neumann_entropy(partial_trace(state, eve),
-                                nu_tolerance=nu_tol)
-    cond = _condition_reference(state, ref_modes, measurement)
-    s_cond = von_neumann_entropy(partial_trace(cond, eve),
-                                 nu_tolerance=nu_tol)
-    return _nonnegative_chi(s_all - s_cond)
+    s_all = covariance_entropy(cm[eve_rows][:, eve_rows], nu_tol)
+    cond = schur_condition(cm, eve_rows, ref_rows, regularize=heterodyne)
+    return _nonnegative_chi(s_all - covariance_entropy(cond, nu_tol))
 
 
 def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
@@ -337,9 +343,14 @@ def key_rate_collective(scenario, channel: ChannelModel,
 
     chi_AE (DR) comes from the entanglement-based model
     (:func:`holevo_bound`).  chi_BE (RR) = S(E) - S(E | x_B) comes from the
-    prepare-and-measure state, where the eavesdropper holds every mode but
-    B: the P&M and entanglement-based pictures share this (B, E) state, so
-    no purification is needed, nor the premodulation model's limit offsets.
+    prepare-and-measure covariance matrix, where the eavesdropper holds
+    every mode but B: the P&M and entanglement-based pictures share this
+    (B, E) state, so no purification is needed, nor the premodulation
+    model's limit offsets.  B occupies rows 0-1 of that matrix
+    (:func:`~cvleak.scenarios.pm_multimode_cm`,
+    :func:`~cvleak.scenarios.pm_premod_cm`), so with gamma_E its rows 2:,
+    sigma their column 0 and V the x variance of B,
+    chi_BE = S(gamma_E) - S(gamma_E - sigma sigma^T / V) on plain arrays.
     """
     direction = protocol.direction
     if scenario.v_m == 0.0:
@@ -348,16 +359,15 @@ def key_rate_collective(scenario, channel: ChannelModel,
                              beta=protocol.beta)
     i_ab = mutual_info_ab(scenario, channel)
     if isinstance(scenario, MultimodeLeakageScenario):
-        v_in_cond, build_pm = scenario.v_s, build_pm_multimode_constructive
+        v_in_cond, build_cm = scenario.v_s, pm_multimode_cm
     else:
         _, v_in_cond = _premod_input_variances(scenario)
-        build_pm = build_pm_premod_constructive
+        build_cm = pm_premod_cm
     if direction == DIRECTION_RR:
-        state = build_pm(scenario, channel)
-        eve = [m for m in state.mode_labels if m != "B"]
-        chi = _eve_chi(state, eve, ("B",), "homodyne_x",
-                       _nu_tolerance(state.cm))
-        v_b = state.variance("B", "x")
+        cm = build_cm(scenario, channel)
+        chi = _eve_chi(cm, slice(2, None), slice(0, 1), False,
+                       _nu_tolerance(cm))
+        v_b = float(cm[0, 0])
     else:
         model = build_purified_model(scenario, channel)
         chi = holevo_bound(model, direction)

@@ -10,7 +10,10 @@ Two source-side threat models are covered:
   arm is available to the eavesdropper.
 
 Builders return labelled :class:`~cvleak.gaussian.GaussianState` objects in
-shot-noise units.  Conventions documented here once:
+shot-noise units; the two constructive prepare-and-measure builders wrap an
+array builder (:func:`pm_multimode_cm`, :func:`pm_premod_cm`) whose fixed
+mode order lets the collective reverse-reconciliation rate skip the labels.
+Conventions documented here once:
 
 * all source modes emit minimum-uncertainty states: a mode of signal-quadrature
   variance V has x variance V and p variance 1/V (V = 1 is the vacuum /
@@ -34,9 +37,9 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    apply_beamsplitter,
-    attach_epr,
-    attach_vacuum,
+    append_block,
+    beamsplitter,
+    epr_block,
 )
 
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
@@ -189,6 +192,7 @@ def distance_to_transmittance(
         distance_km: float,
         attenuation_db_per_km: float = DEFAULT_ATTENUATION_DB_PER_KM) -> float:
     """Transmittance of a fiber of the given length: 10^(-att * d / 10)."""
+    _require_finite(distance_km=distance_km)
     if distance_km < 0.0:
         raise ScenarioError(f"distance must be >= 0, got {distance_km}")
     eta = 10.0 ** (-attenuation_db_per_km * distance_km / 10.0)
@@ -235,26 +239,41 @@ def channel_output_variance(v_in: float, channel: ChannelModel) -> float:
     return channel.eta * v_in + (1.0 - channel.eta) * (1.0 + channel.epsilon)
 
 
-def add_correlated_modulation(state: GaussianState,
-                              weights: "list[tuple[str, float, float]]",
-                              v_m: float) -> GaussianState:
-    """Apply one shared Gaussian displacement to several modes.
+def _modulate(cm: np.ndarray, wx: np.ndarray, wp: np.ndarray,
+              v_m: float) -> np.ndarray:
+    """Apply one shared Gaussian displacement to several rows.
 
-    Each entry of ``weights`` is (mode, x_weight, p_weight): the x
-    displacement of the mode is x_weight times a shared Gaussian of variance
-    v_m, and independently for p.  Adding classical correlated noise is a
-    rank-two update of the covariance matrix.
+    The x rows move by wx times a shared Gaussian of variance v_m and the p
+    rows independently by wp times another; adding classical correlated
+    noise is a rank-two update of the covariance matrix.
     """
     if v_m < 0.0:
         raise ScenarioError(f"modulation variance must be >= 0, got {v_m}")
-    wx = np.zeros(2 * state.n_modes)
-    wp = np.zeros(2 * state.n_modes)
-    for label, w_x, w_p in weights:
-        i = state.index(label)
-        wx[2 * i] = w_x
-        wp[2 * i + 1] = w_p
-    cm = state.cm + v_m * (np.outer(wx, wx) + np.outer(wp, wp))
-    return GaussianState(state.mode_labels, cm, check_physicality=False)
+    return cm + v_m * (np.outer(wx, wx) + np.outer(wp, wp))
+
+
+def _environment(channel: ChannelModel) -> tuple[str, ...]:
+    """Labels of the purified channel environment (see apply_noisy_channel)."""
+    if channel.eta == 1.0:
+        return ()
+    if channel.epsilon == 0.0:
+        return (ENV_MODE,)
+    return (ENV_MODE, ENV_TWIN_MODE)
+
+
+def _noisy_channel(cm: np.ndarray, i: int,
+                   channel: ChannelModel) -> np.ndarray:
+    """Array core of :func:`apply_noisy_channel` on mode i.
+
+    The environment modes are appended after the existing ones.
+    """
+    if channel.eta == 1.0:
+        return cm
+    if channel.epsilon == 0.0:
+        env = np.eye(2)
+    else:
+        env = epr_block(1.0 + channel.epsilon)
+    return beamsplitter(append_block(cm, env), i, len(cm) // 2, channel.eta)
 
 
 def apply_noisy_channel(state: GaussianState, mode: str,
@@ -269,23 +288,18 @@ def apply_noisy_channel(state: GaussianState, mode: str,
     Tracing the environment out maps V -> eta V + (1 - eta)(1 + epsilon)
     (:func:`channel_output_variance`) and scales correlations by sqrt(eta).
     """
-    state.index(mode)
-    if channel.eta == 1.0:
+    i = state.index(mode)
+    env = _environment(channel)
+    if not env:
         return state, ()
-    if channel.epsilon == 0.0:
-        env = (ENV_MODE,)
-        out = attach_vacuum(state, ENV_MODE)
-    else:
-        env = (ENV_MODE, ENV_TWIN_MODE)
-        out = attach_epr(state, ENV_MODE, ENV_TWIN_MODE, 1.0 + channel.epsilon)
-    return apply_beamsplitter(out, mode, ENV_MODE, channel.eta), env
+    return GaussianState(state.mode_labels + env,
+                         _noisy_channel(state.cm, i, channel),
+                         check_physicality=False), env
 
 
-def _sources(labels: tuple[str, ...],
-             variances: tuple[float, ...]) -> GaussianState:
+def _sources(variances: tuple[float, ...]) -> np.ndarray:
     """Product of minimum-uncertainty modes, x variance v and p variance 1/v."""
-    diagonal = [w for v in variances for w in (v, 1.0 / v)]
-    return GaussianState(labels, np.diag(diagonal), check_physicality=False)
+    return np.diag([w for v in variances for w in (v, 1.0 / v)])
 
 
 def build_pm_multimode(scenario: MultimodeLeakageScenario,
@@ -334,26 +348,40 @@ def build_pm_multimode(scenario: MultimodeLeakageScenario,
     return GaussianState(("B", "L", "E"), cm)
 
 
+def pm_multimode_cm(scenario: MultimodeLeakageScenario,
+                    channel: ChannelModel) -> np.ndarray:
+    """Covariance matrix of :func:`build_pm_multimode_constructive`.
+
+    Modes in the fixed order B, L1 ... LN, then the channel environment
+    E_env[, E_env_twin] (none at eta = 1).
+    """
+    k = scenario.k
+    cm = _sources((scenario.v_s,) + scenario.leakage_variances)
+    wx = np.zeros(len(cm))
+    wp = np.zeros(len(cm))
+    wx[0::2] = (1.0,) + (k,) * scenario.n_modes
+    wp[1::2] = (1.0,) + (-k,) * scenario.n_modes
+    cm = _modulate(cm, wx, wp, scenario.v_m)
+    return _noisy_channel(cm, 0, channel)
+
+
 def build_pm_multimode_constructive(scenario: MultimodeLeakageScenario,
                                     channel: ChannelModel) -> GaussianState:
     """Prepare-and-measure state of the multimode-leakage protocol.
 
     Bob's mode B and every leakage mode L1 ... LN start as independent
     minimum-uncertainty sources, receive the shared modulation (ratio k on
-    each leakage mode), and B crosses the purified channel
+    each leakage mode, sign-flipped in p), and B crosses the purified channel
     (:func:`apply_noisy_channel`).  Every mode but B belongs to the
     eavesdropper, so no reduction of the leakage modes is needed.  For one
     leakage mode on a pure-loss channel this is the state of
-    :func:`build_pm_multimode`, modes in the same order.
+    :func:`build_pm_multimode`, modes in the same order.  The matrix comes
+    from :func:`pm_multimode_cm`.
     """
     leak = tuple(f"L{i + 1}" for i in range(scenario.n_modes))
-    state = _sources(("B",) + leak,
-                     (scenario.v_s,) + scenario.leakage_variances)
-    k = scenario.k
-    state = add_correlated_modulation(
-        state, [("B", 1.0, 1.0)] + [(m, k, -k) for m in leak], scenario.v_m)
-    state, _ = apply_noisy_channel(state, "B", channel)
-    return state
+    return GaussianState(("B",) + leak + _environment(channel),
+                         pm_multimode_cm(scenario, channel),
+                         check_physicality=False)
 
 
 def build_pm_premod(scenario: PremodLeakageScenario,
@@ -394,6 +422,26 @@ def build_pm_premod(scenario: PremodLeakageScenario,
     return GaussianState(("B", "ES", "E"), cm)
 
 
+def pm_premod_cm(scenario: PremodLeakageScenario,
+                 channel: ChannelModel) -> np.ndarray:
+    """Covariance matrix of :func:`build_pm_premod_constructive`.
+
+    Modes in the fixed order B, ES[, ES_twin when v_es > 1], then the
+    channel environment E_env[, E_env_twin] (none at eta = 1).
+    """
+    if scenario.v_es == 1.0:
+        cm = _sources((scenario.v_s, 1.0))
+    else:
+        cm = append_block(_sources((scenario.v_s,)), epr_block(scenario.v_es))
+    if not scenario.v_s == scenario.v_es == 1.0:
+        cm = beamsplitter(cm, 0, 1, scenario.eta_e)
+    wx = np.zeros(len(cm))
+    wp = np.zeros(len(cm))
+    wx[0] = wp[1] = 1.0
+    cm = _modulate(cm, wx, wp, scenario.v_m)
+    return _noisy_channel(cm, 0, channel)
+
+
 def build_pm_premod_constructive(scenario: PremodLeakageScenario,
                                  channel: ChannelModel) -> GaussianState:
     """Prepare-and-measure state of the premodulation-leakage protocol.
@@ -406,15 +454,9 @@ def build_pm_premod_constructive(scenario: PremodLeakageScenario,
     inputs leave the beam splitter unchanged; it is skipped then, which
     keeps coherent-state output exactly independent of eta_e.  On a
     pure-loss channel the (B, ES, E_env) marginal is the state of
-    :func:`build_pm_premod`.
+    :func:`build_pm_premod`.  The matrix comes from :func:`pm_premod_cm`.
     """
-    if scenario.v_es == 1.0:
-        state = _sources(("B", "ES"), (scenario.v_s, 1.0))
-    else:
-        state = attach_epr(_sources(("B",), (scenario.v_s,)), "ES",
-                           "ES_twin", scenario.v_es)
-    if not scenario.v_s == scenario.v_es == 1.0:
-        state = apply_beamsplitter(state, "B", "ES", scenario.eta_e)
-    state = add_correlated_modulation(state, [("B", 1.0, 1.0)], scenario.v_m)
-    state, _ = apply_noisy_channel(state, "B", channel)
-    return state
+    side = ("ES",) if scenario.v_es == 1.0 else ("ES", "ES_twin")
+    return GaussianState(("B",) + side + _environment(channel),
+                         pm_premod_cm(scenario, channel),
+                         check_physicality=False)

@@ -570,6 +570,13 @@ target = distance
         ("rate", "far.cfg",
          BASE_CONFIG.replace("eta = 0.4", "distance_km = 20000"),
          2, "distance 20000"),
+        # NaN slips past every ordered comparison, inf past the underflow.
+        ("rate", "nan.cfg",
+         BASE_CONFIG.replace("eta = 0.4", "distance_km = nan"),
+         2, "distance_km must be finite, got nan"),
+        ("rate", "inf.cfg",
+         BASE_CONFIG.replace("eta = 0.4", "distance_km = inf"),
+         2, "distance_km must be finite, got inf"),
         ("rate", "section.json", '{"scenario": 5}', 2, "'scenario'"),
         ("validate", "words.txt", "abc def\n", 3, "words.txt"),
         ("validate", "ragged.txt", "1 0\n0\n", 3, "ragged.txt"),

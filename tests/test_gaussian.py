@@ -13,6 +13,8 @@ from cvleak.gaussian import (
     apply_squeezer,
     attach_epr,
     attach_vacuum,
+    beamsplitter_matrix,
+    covariance_entropy,
     entropy_g,
     format_matrix_snapshot,
     heterodyne_condition,
@@ -342,6 +344,41 @@ class TestSpectrumAndEntropy:
                                  rng.uniform(-1.0, 1.0))
             assert np.max(np.abs(symplectic_eigenvalues(out)
                                  - before)) < 1e-9
+
+
+class TestArrayCores:
+    """The label-free kernels beneath the labelled operations."""
+
+    def test_beamsplitter_matrix_is_symplectic(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 5):
+            omega = symplectic_form(n)
+            for _ in range(10):
+                ia, ib = rng.choice(n, size=2, replace=False)
+                s = beamsplitter_matrix(n, int(ia), int(ib), rng.random())
+                assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-14
+
+    def test_entropy_matches_direct_spectrum(self):
+        # Mixed states: reductions of random pure states, up to 5 modes.
+        # The direct route takes nu from the nonsymmetric eigenvalues of
+        # Omega gamma, which come in pairs +/- i nu.
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            st = random_pure_state(rng, n + int(rng.integers(1, 4)))
+            cm = partial_trace(st, st.mode_labels[:n]).cm
+            eigs = np.linalg.eigvals(symplectic_form(n) @ cm)
+            nus = np.sort(np.abs(eigs))[::2]
+            direct = sum(entropy_g(float(nu)) for nu in nus)
+            assert abs(covariance_entropy(cm) - direct) <= 1e-10
+
+    def test_cached_symplectic_forms_are_read_only(self):
+        for n in (1, 2, 5):
+            omega = symplectic_form(n)
+            assert omega is symplectic_form(n)
+            assert not omega.flags.writeable
+            with pytest.raises(ValueError):
+                omega[0, 1] = 2.0
 
 
 class TestSnapshotSerialization:

@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvleak import keyrate
-from cvleak.gaussian import PhysicalityError, joint_homodyne_condition
+from cvleak.gaussian import (
+    GaussianState,
+    PhysicalityError,
+    joint_homodyne_condition,
+)
 from cvleak.keyrate import (
     dr_shortdistance_rate,
     holevo_bound,
@@ -23,6 +27,7 @@ from cvleak.keyrate import (
     premod_perfect_channel_rates,
     build_purified_model,
 )
+from cvleak.optimize import optimize_vm
 from cvleak.purification import SolverError, build_eb_premod
 from cvleak.scenarios import (
     ChannelModel,
@@ -490,6 +495,35 @@ class TestPrepareAndMeasureCrossCheck:
             with pytest.raises(AssertionError):
                 key_rate_collective(
                     sc, ch, ProtocolChoice("DR", "collective", 0.95))
+
+    def test_rr_builds_no_labelled_state(self, monkeypatch):
+        """Collective RR runs on plain covariance arrays: no GaussianState
+        is constructed, for any leakage-mode count, side-channel input or
+        channel branch (pure loss, excess noise, eta = 1)."""
+        built = []
+        original = GaussianState.__post_init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self.mode_labels)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GaussianState, "__post_init__", counted)
+        proto = ProtocolChoice("RR", "collective", 0.95)
+        scenarios = [multimode(v_s=0.5, v_m=4.0, k=0.5, n=n)
+                     for n in (0, 1, 3)]
+        scenarios += [PremodLeakageScenario(v_s=0.5, v_m=4.0, eta_e=0.7,
+                                            v_es=v_es) for v_es in (1.0, 3.0)]
+        channels = [ChannelModel(eta=0.3), ChannelModel(eta=0.3, epsilon=0.01),
+                    ChannelModel(eta=1.0, epsilon=0.01)]
+        for sc, ch in itertools.product(scenarios, channels):
+            assert math.isfinite(key_rate_collective(sc, ch, proto).rate)
+        result = optimize_vm(scenarios[1], channels[1], proto)
+        assert math.isfinite(result.value)
+        assert built == []
+        # The counter sees the labelled path: DR still builds states.
+        key_rate_collective(scenarios[1], channels[1],
+                            ProtocolChoice("DR", "collective", 0.95))
+        assert built
 
 
 def _mp_chi_be(scenario, channel):
