@@ -31,6 +31,7 @@ from .keyrate import (
     key_rate,
     key_rate_collective,
     key_rate_individual,
+    key_rates,
     multimode_asymptotics,
     mutual_info_ab,
     premod_asymptotics,
@@ -74,7 +75,8 @@ __all__ = [
     "partial_trace", "symplectic_eigenvalues", "symplectic_form",
     "von_neumann_entropy",
     "KeyRateReport", "dr_shortdistance_rate", "holevo_bound", "key_rate",
-    "key_rate_collective", "key_rate_individual", "multimode_asymptotics",
+    "key_rate_collective", "key_rate_individual", "key_rates",
+    "multimode_asymptotics",
     "mutual_info_ab", "premod_asymptotics", "premod_perfect_channel_rates",
     "OptimizationResult", "max_tolerable_k", "optimize_squeezing",
     "optimize_vm", "secure_distance",

@@ -4,7 +4,7 @@ Subcommands
 -----------
 rate      single key-rate evaluation, printed as JSON
 sweep     grid evaluation over one parameter axis, written as CSV or JSON;
-          the points are evaluated in axis order, one after another
+          the rates of all grid points are evaluated in one call
 optimize  modulation/squeezing optimization or security-boundary search
 validate  closed-form-vs-numeric self-check suite and golden-file support
 
@@ -41,7 +41,7 @@ from .gaussian import (
     format_matrix_snapshot,
     parse_matrix_snapshot,
 )
-from .keyrate import key_rate
+from .keyrate import key_rate, key_rates
 from .optimize import (
     max_tolerable_k,
     optimize_squeezing,
@@ -58,7 +58,6 @@ from .scenarios import (
     distance_to_transmittance,
     with_parameter,
 )
-from . import validation
 
 GOLDEN_TOL = 1e-12
 
@@ -323,16 +322,19 @@ def build_sweep(cfg: dict, scenario) -> SweepSpec:
     return spec
 
 
-def evaluate_sweep_point(scenario, channel, protocol, spec: SweepSpec,
-                         value: float) -> dict:
+def _distance_row(scenario, channel, protocol, spec: SweepSpec,
+                  value) -> dict:
     sc, ch = with_parameter(scenario, channel, spec.axis, value)
-    row: dict = {spec.axis: value}
-    if spec.quantity == "distance":
-        result = secure_distance(sc, protocol, ch,
-                                 optimize_v_s=spec.optimize_v_s)
-        row.update({"distance_km": result.x, "rate": result.value,
-                    "converged": result.converged})
-        return row
+    result = secure_distance(sc, protocol, ch,
+                             optimize_v_s=spec.optimize_v_s)
+    return {spec.axis: value, "distance_km": result.x, "rate": result.value,
+            "converged": result.converged}
+
+
+def _resolve_point(scenario, channel, protocol, spec: SweepSpec, value):
+    """The point one grid value stands for: (scenario, channel, optimized
+    v_m, optimized v_s), with v_s and v_m optimized when the sweep asks."""
+    sc, ch = with_parameter(scenario, channel, spec.axis, value)
     opt_v_s = opt_v_m = None
     if spec.optimize_v_s:
         opt_v_s = optimize_squeezing(sc, ch, protocol).x
@@ -340,23 +342,48 @@ def evaluate_sweep_point(scenario, channel, protocol, spec: SweepSpec,
     if spec.optimize_v_m or spec.optimize_v_s:
         opt_v_m = optimize_vm(sc, ch, protocol).x
         sc, ch = with_parameter(sc, ch, "v_m", opt_v_m)
-    report = key_rate(sc, ch, protocol)
-    row.update({"rate": report.rate, "i_ab": report.i_ab,
-                "eve_information": report.eve_information,
-                "secure": report.secure})
-    if spec.optimize_v_m or spec.optimize_v_s:
-        row["optimized_v_m"] = opt_v_m
-    if spec.optimize_v_s:
-        row["optimized_v_s"] = opt_v_s
-    return row
+    return sc, ch, opt_v_m, opt_v_s
 
 
 def run_sweep(scenario, channel, protocol, spec: SweepSpec,
               workers: int = 1) -> list[dict]:
+    """One row per grid value, in axis order.
+
+    Every grid value is resolved to its point first; the rates of all
+    points then come from one :func:`~cvleak.keyrate.key_rates` call.
+    Secure distances are solved point by point.  A failure raises the
+    error that evaluating the points one after another in axis order
+    raises first.
+    """
     # ``workers`` is ignored: sweeps are sequential, and the keyword stays
     # only while perfbench/worker.py still passes workers=1.
-    return [evaluate_sweep_point(scenario, channel, protocol, spec, v)
-            for v in spec.grid()]
+    grid = spec.grid()
+    if spec.quantity == "distance":
+        return [_distance_row(scenario, channel, protocol, spec, value)
+                for value in grid]
+    points, optimized = [], []
+    try:
+        for value in grid:
+            sc, ch, opt_v_m, opt_v_s = _resolve_point(
+                scenario, channel, protocol, spec, value)
+            points.append((sc, ch))
+            optimized.append((opt_v_m, opt_v_s))
+    except (ValueError, RuntimeError):
+        # A rate that fails at an earlier grid value fails first.
+        key_rates(points, protocol)
+        raise
+    rows = []
+    for value, (opt_v_m, opt_v_s), report in zip(
+            grid, optimized, key_rates(points, protocol)):
+        row = {spec.axis: value, "rate": report.rate, "i_ab": report.i_ab,
+               "eve_information": report.eve_information,
+               "secure": report.secure}
+        if spec.optimize_v_m or spec.optimize_v_s:
+            row["optimized_v_m"] = opt_v_m
+        if spec.optimize_v_s:
+            row["optimized_v_s"] = opt_v_s
+        rows.append(row)
+    return rows
 
 
 _UNITS_COMMENT = ("# units: variances in SNU, distances in km, rates in "
@@ -467,6 +494,8 @@ def _read_golden(path: str) -> np.ndarray:
 
 def cmd_validate(args) -> int:
     """Run the self-checks; the number of failed checks."""
+    # Imported here: no other subcommand needs the suite in memory.
+    from . import validation
     results = validation.run_all_checks()
     failures = 0
     for check in results:

@@ -14,11 +14,18 @@ functions safe to call concurrently.
 Beneath the labelled API each operation has one label-free array core that
 acts on plain covariance matrices with modes at fixed positions:
 :func:`append_block` (with :func:`epr_block`), :func:`beamsplitter` (and
-:func:`symplectic_map`), :func:`schur_condition` and
-:func:`covariance_entropy`.  The labelled functions translate labels to rows,
-call their core and wrap the result in one :class:`GaussianState`; code that
-already knows the mode order (the collective reverse-reconciliation rate)
-calls the cores directly and builds no state at all.
+:func:`symplectic_map`), :func:`schur_condition` (with :func:`submatrix`),
+:func:`covariance_entropy` and the physicality check
+:func:`physical_covariance`.  The cores from :func:`beamsplitter` on act
+on the last two axes, so they accept one ``(2N, 2N)`` matrix or a stack
+``(n, 2N, 2N)`` of them (a beam splitter mixes every matrix of a stack
+alike), and a stack gives every matrix the numbers one call per matrix
+gives: the batched Cholesky, Hermitian eigenvalue and linear solves and
+the stacked matrix products compute each matrix as the unbatched ones do.
+The labelled functions translate labels to rows, call their core on one
+matrix and wrap the result in one :class:`GaussianState`; code that
+already knows the mode order (the key rates of a sweep) calls the cores on
+stacks directly and builds no state at all.
 """
 
 from __future__ import annotations
@@ -44,17 +51,55 @@ class PhysicalityError(ValueError):
     """Raised when a covariance matrix violates the uncertainty principle."""
 
 
-def physicality_tolerance(cm: np.ndarray) -> float:
+def _largest_entry(cm: np.ndarray) -> np.ndarray:
+    """max(1, largest |entry|) of each matrix of a stack, or of one matrix."""
+    if not cm.shape[-1]:
+        return np.ones(cm.shape[:-2])
+    return np.maximum(1.0, np.abs(cm).max(axis=(-2, -1)))
+
+
+def physicality_tolerance(cm: np.ndarray):
     """How far below 1 a computed symplectic eigenvalue may credibly sit.
 
     Rounding the entries of a pure two-mode squeezed pair of variance V to
     floating point already perturbs its unit symplectic eigenvalues by
     about eps V^2 (the nu^2 = V^2 - (V^2 - 1) cancellation), so states with
     huge variances cannot be certified tighter than that.  For matrices of
-    order unity this reduces to the 1e-9 physicality floor.
+    order unity this reduces to the 1e-9 physicality floor.  One float for
+    one matrix, an array of them for a stack.
     """
-    scale = max(1.0, float(np.max(np.abs(cm)))) if cm.size else 1.0
-    return max(PHYSICALITY_ATOL, 4.0 * np.finfo(float).eps * scale * scale)
+    scale = _largest_entry(cm)
+    tol = np.maximum(PHYSICALITY_ATOL,
+                     4.0 * np.finfo(float).eps * scale * scale)
+    return tol if cm.ndim > 2 else float(tol)
+
+
+def physical_covariance(cm: np.ndarray,
+                        check_physicality: bool = True) -> np.ndarray:
+    """Array core of the :class:`GaussianState` check, per matrix.
+
+    Each matrix must be symmetric to SYMMETRY_RTOL of its largest entry;
+    it is then symmetrized (the rounding asymmetry averaged out), and with
+    ``check_physicality`` its smallest symplectic eigenvalue must reach
+    1 - :func:`physicality_tolerance`.  Returns the symmetrized matrix or
+    stack; a failing matrix raises PhysicalityError (for the eigenvalue
+    check, naming the smallest eigenvalue of the first such matrix).
+    """
+    if not cm.shape[-1]:
+        return cm
+    asymmetry = np.abs(cm - cm.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (asymmetry > SYMMETRY_RTOL * _largest_entry(cm)).any():
+        raise PhysicalityError("covariance matrix is not symmetric")
+    cm = 0.5 * (cm + cm.swapaxes(-1, -2))
+    if check_physicality:
+        nu_min = np.min(_symplectic_eigenvalues(cm), axis=-1)
+        below = nu_min < 1.0 - physicality_tolerance(cm)
+        if below.any():
+            first = nu_min.reshape(-1)[below.reshape(-1)][0]
+            raise PhysicalityError(
+                f"uncertainty principle violated: min symplectic "
+                f"eigenvalue {first!r} < 1")
+    return cm
 
 
 @functools.cache
@@ -84,12 +129,13 @@ class GaussianState:
         Symmetric 2N x 2N covariance matrix in SNU, quadrature ordering
         (x1, p1, ..., xN, pN).
 
-    Direct construction verifies the uncertainty principle.  The operations
-    in this module skip that eigenvalue check on their outputs
-    (check_physicality=False): symplectic maps, mode attachment and
-    Gaussian conditioning preserve physicality exactly, and rechecking
-    after every step dominated the runtime.  The preservation itself is
-    covered by the randomized property tests.
+    Direct construction verifies the uncertainty principle
+    (:func:`physical_covariance`).  The operations in this module skip
+    that eigenvalue check on their outputs (check_physicality=False):
+    symplectic maps, mode attachment and Gaussian conditioning preserve
+    physicality exactly, and rechecking after every step dominated the
+    runtime.  The preservation itself is covered by the randomized
+    property tests.
     """
 
     mode_labels: tuple[str, ...]
@@ -106,20 +152,10 @@ class GaussianState:
             raise ModeError(
                 f"covariance matrix shape {cm.shape} does not match "
                 f"{n} modes")
-        if n > 0:
-            scale = max(1.0, float(np.max(np.abs(cm))))
-            if np.max(np.abs(cm - cm.T)) > SYMMETRY_RTOL * scale:
-                raise PhysicalityError("covariance matrix is not symmetric")
-        cm = 0.5 * (cm + cm.T)  # remove roundoff asymmetry
+        cm = physical_covariance(cm, check_physicality)
         cm.flags.writeable = False
         object.__setattr__(self, "mode_labels", labels)
         object.__setattr__(self, "cm", cm)
-        if n > 0 and check_physicality:
-            nu_min = np.min(_symplectic_eigenvalues(cm))
-            if nu_min < 1.0 - physicality_tolerance(cm):
-                raise PhysicalityError(
-                    f"uncertainty principle violated: min symplectic "
-                    f"eigenvalue {nu_min!r} < 1")
 
     @classmethod
     def empty(cls) -> "GaussianState":
@@ -222,9 +258,12 @@ def attach_epr(state: GaussianState, label_a: str, label_b: str,
 
 
 def symplectic_map(cm: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Array core: S @ cm @ S.T, with the rounding asymmetry averaged out."""
+    """Array core: S @ cm @ S.T, with the rounding asymmetry averaged out.
+
+    ``cm`` may be a stack, every matrix mapped by the same S.
+    """
     m = s @ cm @ s.T
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def beamsplitter_matrix(n_modes: int, ia: int, ib: int,
@@ -255,8 +294,11 @@ def beamsplitter_matrix(n_modes: int, ia: int, ib: int,
 
 def beamsplitter(cm: np.ndarray, ia: int, ib: int,
                  transmittance: float) -> np.ndarray:
-    """Array core: mix modes ia and ib on a beam splitter of transmittance T."""
-    s = beamsplitter_matrix(len(cm) // 2, ia, ib, transmittance)
+    """Array core: mix modes ia and ib on a beam splitter of transmittance T.
+
+    ``cm`` may be a stack, every matrix mixed by the same T.
+    """
+    s = beamsplitter_matrix(cm.shape[-1] // 2, ia, ib, transmittance)
     return symplectic_map(cm, s)
 
 
@@ -287,6 +329,14 @@ def apply_squeezer(state: GaussianState, mode: str, r: float) -> GaussianState:
                          check_physicality=False)
 
 
+def submatrix(cm: np.ndarray, rows, cols) -> np.ndarray:
+    """Array core: the ``rows`` x ``cols`` block of a matrix or stack.
+
+    ``rows`` and ``cols`` are lists of rows or slices.
+    """
+    return cm[..., rows, :][..., :, cols]
+
+
 def schur_condition(cm: np.ndarray, keep, measured,
                     regularize: bool) -> np.ndarray:
     """Array core: covariance of rows ``keep`` given the ``measured`` rows.
@@ -298,17 +348,19 @@ def schur_condition(cm: np.ndarray, keep, measured,
     mode at a time would.  A homodyne variance that is not positive belongs
     to no physical state and raises PhysicalityError.
     """
-    gamma_rest = cm[keep][:, keep]
-    sigma = cm[keep][:, measured]
-    block = cm[measured][:, measured]
+    gamma_rest = submatrix(cm, keep, keep)
+    sigma = submatrix(cm, keep, measured)
+    block = submatrix(cm, measured, measured)
     if regularize:
-        block = block + np.eye(len(block))
-    elif not (block.diagonal() > 0.0).all():
-        raise PhysicalityError(
-            f"measured quadrature variances {block.diagonal()} are not "
-            f"all positive")
-    update = sigma @ np.linalg.solve(block, sigma.T)
-    return gamma_rest - 0.5 * (update + update.T)
+        block = block + np.eye(block.shape[-1])
+    else:
+        variances = block.diagonal(0, -2, -1)
+        if not (variances > 0.0).all():
+            raise PhysicalityError(
+                f"measured quadrature variances {variances} are not "
+                f"all positive")
+    update = sigma @ np.linalg.solve(block, sigma.swapaxes(-1, -2))
+    return gamma_rest - 0.5 * (update + update.swapaxes(-1, -2))
 
 
 def _joint_condition(state: GaussianState, modes, measured_rows,
@@ -362,7 +414,7 @@ def partial_trace(state: GaussianState,
     if len(set(keep)) != len(keep):
         raise ModeError("duplicate labels in partial_trace request")
     rows = state.rows(keep)
-    return GaussianState(tuple(keep), state.cm[rows][:, rows],
+    return GaussianState(tuple(keep), submatrix(state.cm, rows, rows),
                          check_physicality=False)
 
 
@@ -375,21 +427,24 @@ def _symplectic_eigenvalues(cm: np.ndarray) -> np.ndarray:
     factor: i L^T Omega L is Hermitian, so a backward-stable symmetric
     eigensolver applies (states mixing strongly squeezed and strongly
     anti-squeezed modes are badly conditioned for the plain nonsymmetric
-    route).  Semidefinite inputs fall back to the direct eigenvalues.
+    route).  Semidefinite inputs fall back to the direct eigenvalues.  A
+    stack gives one spectrum per matrix; when one of its matrices is not
+    positive definite, each matrix takes its own route.
     """
-    n = cm.shape[0] // 2
+    n = cm.shape[-1] // 2
     if n == 0:
-        return np.zeros(0)
+        return np.zeros(cm.shape[:-2] + (0,))
     omega = symplectic_form(n)
     try:
         l_factor = np.linalg.cholesky(cm)
-        herm = 1j * (l_factor.T @ omega @ l_factor)
-        nus = np.linalg.eigvalsh(herm)
-        return nus[n:][::-1].copy()
     except np.linalg.LinAlgError:
+        if cm.ndim > 2:
+            return np.array([_symplectic_eigenvalues(m) for m in cm])
         eigs = np.linalg.eigvals(omega @ cm)
         nus = np.sort(np.abs(eigs))
         return nus[::2][::-1].copy()
+    herm = 1j * (l_factor.swapaxes(-1, -2) @ omega @ l_factor)
+    return np.linalg.eigvalsh(herm)[..., n:][..., ::-1]
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
@@ -417,11 +472,21 @@ def entropy_g(nu: float, nu_tolerance: float = ENTROPY_NU_CLAMP) -> float:
     return a * math.log2(a) - b * math.log2(b)
 
 
-def covariance_entropy(cm: np.ndarray,
-                       nu_tolerance: float = ENTROPY_NU_CLAMP) -> float:
-    """Array core: von Neumann entropy of a covariance matrix, in bits."""
-    return float(sum(entropy_g(float(nu), nu_tolerance)
-                     for nu in _symplectic_eigenvalues(cm)))
+def covariance_entropy(cm: np.ndarray, nu_tolerance=ENTROPY_NU_CLAMP):
+    """Array core: von Neumann entropy of a covariance matrix, in bits.
+
+    A float for one matrix.  A stack gives a list with one entropy per
+    matrix, and ``nu_tolerance`` may then be a list with one clamp per
+    matrix.  Each entropy is the sum of :func:`entropy_g` over its
+    spectrum, in order.
+    """
+    nus = _symplectic_eigenvalues(cm).tolist()
+    if cm.ndim == 2:
+        return float(sum(entropy_g(nu, nu_tolerance) for nu in nus))
+    if not isinstance(nu_tolerance, list):
+        nu_tolerance = [nu_tolerance] * len(nus)
+    return [float(sum(entropy_g(nu, clamp) for nu in spectrum))
+            for spectrum, clamp in zip(nus, nu_tolerance)]
 
 
 def von_neumann_entropy(state: GaussianState,

@@ -6,13 +6,17 @@ quadrature).  Collective attacks use Holevo bounds on the eavesdropper's
 reduced states: for reverse reconciliation on the P&M covariance matrix
 with the channel purified, which the P&M and entanglement-based pictures
 share; for direct reconciliation on the purified entanglement-based
-models.  The reverse-reconciliation bound runs on the array cores of
-:mod:`cvleak.gaussian` at the fixed mode positions of
-:func:`~cvleak.scenarios.pm_multimode_cm` and
-:func:`~cvleak.scenarios.pm_premod_cm` (Bob's mode first), so it builds no
-labelled state.  The strong-modulation, short-distance and premodulation
-closed forms are provided both for direct use and as independent
-cross-checks of the numeric machinery.
+models.  The strong-modulation, short-distance and premodulation closed
+forms are provided both for direct use and as independent cross-checks of
+the numeric machinery.
+
+:func:`key_rates` evaluates a sequence of points at once.  Individual and
+collective reverse-reconciliation rates run on covariance stacks, one
+matrix per point, through the array cores of :mod:`cvleak.gaussian` at the
+fixed mode positions of the :mod:`cvleak.scenarios` array builders (Bob's
+mode first), so they build no labelled state; a stack gives each point the
+numbers it gets alone.  :func:`key_rate`, :func:`key_rate_individual` and
+:func:`key_rate_collective` are the stack of one.
 
 Lower bound on the secret key rate per channel use, in bits:
 
@@ -38,8 +42,10 @@ from .gaussian import (
     joint_heterodyne_condition,
     joint_homodyne_condition,
     partial_trace,
+    physical_covariance,
     physicality_tolerance,
     schur_condition,
+    submatrix,
     von_neumann_entropy,
 )
 from .purification import (
@@ -59,12 +65,15 @@ from .scenarios import (
     PremodLeakageScenario,
     ProtocolChoice,
     ScenarioError,
-    build_pm_multimode,
-    build_pm_premod,
+    build_pm_multimode,  # unused here; perfbench/tracer.py wraps this name
+    build_pm_premod,  # unused here; perfbench/tracer.py wraps this name
     channel_output_variance,
     effective_leakage,
+    pm_modes,
     pm_multimode_cm,
+    pm_multimode_closed_cm,
     pm_premod_cm,
+    pm_premod_closed_cm,
 )
 
 
@@ -141,10 +150,92 @@ def mutual_info_ab(scenario, channel: ChannelModel) -> float:
     return _log2_ratio(v_b, v_b_cond)
 
 
-def _gaussian_conditional(v: float, cross: np.ndarray,
-                          block: np.ndarray) -> float:
-    """Variance of a scalar conditioned on jointly Gaussian variables."""
-    return float(v - cross @ np.linalg.solve(block, cross))
+def _gaussian_conditional(v: np.ndarray, cross: np.ndarray,
+                          block: np.ndarray) -> np.ndarray:
+    """Variance of a scalar conditioned on jointly Gaussian variables.
+
+    One scalar variance, cross-covariance row and conditioning block per
+    point: v - cross block^-1 cross^T, stacked.
+    """
+    solved = np.linalg.solve(block, cross[:, :, None])
+    return v - (cross[:, None, :] @ solved)[:, 0, 0]
+
+
+def _groups(keys) -> list[list[int]]:
+    """Indices of equal keys, groups in order of first appearance."""
+    groups: dict = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
+
+
+def _closed_form(points) -> tuple[np.ndarray, list[float]]:
+    """Closed-form P&M matrices of points of one scenario type (rows B, L or
+    ES, E), and the data's modulation ratio on the leakage row."""
+    scenario = points[0][0]
+    if isinstance(scenario, MultimodeLeakageScenario):
+        k_eff = [effective_leakage(sc)[1] if sc.n_modes >= 1 else 0.0
+                 for sc, _ in points]
+        return pm_multimode_closed_cm(points), k_eff
+    if isinstance(scenario, PremodLeakageScenario):
+        return pm_premod_closed_cm(points), [0.0] * len(points)
+    raise ScenarioError(f"unknown scenario type {type(scenario)!r}")
+
+
+def _individual_rates(points, direction: str) -> list[KeyRateReport]:
+    """Individual-attack reports of many points: one closed-form stack per
+    scenario type, one physicality check per matrix."""
+    direction = str(direction).upper()
+    if direction not in (DIRECTION_RR, DIRECTION_DR):
+        raise ScenarioError(f"direction must be RR or DR, got {direction!r}")
+    if any(channel.epsilon != 0.0 for _, channel in points):
+        raise ScenarioError(
+            "individual-attack analysis covers the pure-loss channel; "
+            "epsilon must be 0")
+    reports = [None] * len(points)
+    for indices in _groups(type(sc) for sc, _ in points):
+        group = [points[i] for i in indices]
+        cms, k_eff = _closed_form(group)
+        cms = physical_covariance(cms)
+        v_b = cms[:, 0, 0]
+        eve_rows = [2, 4]  # x of the leakage mode and of E
+        block = submatrix(cms, eve_rows, eve_rows)
+        if direction == DIRECTION_RR:
+            cond = _gaussian_conditional(v_b, cms[:, 0, eve_rows], block)
+        else:
+            # Alice's data moves the leakage mode by k_eff and E by
+            # -sqrt(1 - eta) times itself.
+            cross = np.array([(k * sc.v_m, -math.sqrt(1.0 - ch.eta) * sc.v_m)
+                              for k, (sc, ch) in zip(k_eff, group)])
+            v_m = np.array([sc.v_m for sc, _ in group], dtype=float)
+            cond = _gaussian_conditional(v_m, cross, block)
+        for i, (sc, ch), v, c in zip(indices, group, v_b.tolist(),
+                                     cond.tolist()):
+            reports[i] = _individual_report(sc, ch, direction, v, c)
+    return reports
+
+
+def _individual_report(scenario, channel: ChannelModel, direction: str,
+                       v_b: float, cond: float) -> KeyRateReport:
+    """Report of one individual-attack point from Bob's x variance and the
+    reference variance conditioned on the eavesdropper's x homodynes."""
+    i_ab = mutual_info_ab(scenario, channel)
+    variances = {"v_b": v_b}
+    if scenario.v_m == 0.0:
+        return KeyRateReport(i_ab=0.0, eve_information=0.0, rate=0.0,
+                             direction=direction, attack=ATTACK_INDIVIDUAL,
+                             conditional_variances=variances)
+    if direction == DIRECTION_RR:
+        eve_info = _log2_ratio(v_b, cond)
+        variances["v_b_cond_e"] = cond
+    else:
+        eve_info = _log2_ratio(scenario.v_m, cond)
+        variances["v_a"] = scenario.v_m
+        variances["v_a_cond_e"] = cond
+    return KeyRateReport(i_ab=i_ab, eve_information=eve_info,
+                         rate=i_ab - eve_info, direction=direction,
+                         attack=ATTACK_INDIVIDUAL,
+                         conditional_variances=variances)
 
 
 def key_rate_individual(scenario, channel: ChannelModel,
@@ -153,58 +244,14 @@ def key_rate_individual(scenario, channel: ChannelModel,
 
     The eavesdropper homodynes every mode she holds in the key quadrature,
     and I_E = (1/2) log2(V_ref / V_ref|E) with the conditional variance
-    taken on the x block of her modes in the prepare-and-measure state.
-    The reference is Bob's x quadrature for reverse reconciliation, with
-    its correlations read from that state, and Alice's modulation data for
-    direct reconciliation, whose correlations to the eavesdropper modes
-    follow from the linear optics of the corresponding scenario.
+    taken on the x block of her modes in the closed-form
+    prepare-and-measure state.  The reference is Bob's x quadrature for
+    reverse reconciliation, with its correlations read from that state, and
+    Alice's modulation data for direct reconciliation, whose correlations
+    to the eavesdropper modes follow from the linear optics of the
+    corresponding scenario.  The stack of one of :func:`key_rates`.
     """
-    direction = str(direction).upper()
-    if direction not in (DIRECTION_RR, DIRECTION_DR):
-        raise ScenarioError(f"direction must be RR or DR, got {direction!r}")
-    if channel.epsilon != 0.0:
-        raise ScenarioError(
-            "individual-attack analysis covers the pure-loss channel; "
-            "epsilon must be 0")
-    eta, v_m = channel.eta, scenario.v_m
-    if isinstance(scenario, MultimodeLeakageScenario):
-        state = build_pm_multimode(scenario, channel)
-        eve_modes = ["L", "E"]
-        if scenario.n_modes >= 1:
-            _, k_eff = effective_leakage(scenario)
-        else:
-            k_eff = 0.0
-        data_cross = np.array([k_eff * v_m, -math.sqrt(1.0 - eta) * v_m])
-    elif isinstance(scenario, PremodLeakageScenario):
-        state = build_pm_premod(scenario, channel)
-        eve_modes = ["ES", "E"]
-        data_cross = np.array([0.0, -math.sqrt(1.0 - eta) * v_m])
-    else:
-        raise ScenarioError(f"unknown scenario type {type(scenario)!r}")
-
-    i_ab = mutual_info_ab(scenario, channel)
-    v_b = state.variance("B", "x")
-    variances = {"v_b": v_b}
-    if v_m == 0.0:
-        return KeyRateReport(i_ab=0.0, eve_information=0.0, rate=0.0,
-                             direction=direction, attack=ATTACK_INDIVIDUAL,
-                             conditional_variances=variances)
-    rows = [2 * state.index(m) for m in eve_modes]
-    block = state.cm[np.ix_(rows, rows)]
-    if direction == DIRECTION_RR:
-        v_b_cond = _gaussian_conditional(
-            v_b, state.cm[2 * state.index("B"), rows], block)
-        eve_info = _log2_ratio(v_b, v_b_cond)
-        variances["v_b_cond_e"] = v_b_cond
-    else:
-        v_a_cond = _gaussian_conditional(v_m, data_cross, block)
-        eve_info = _log2_ratio(v_m, v_a_cond)
-        variances["v_a"] = v_m
-        variances["v_a_cond_e"] = v_a_cond
-    rate = i_ab - eve_info
-    return KeyRateReport(i_ab=i_ab, eve_information=eve_info, rate=rate,
-                         direction=direction, attack=ATTACK_INDIVIDUAL,
-                         conditional_variances=variances)
+    return _individual_rates([(scenario, channel)], direction)[0]
 
 
 def _condition_reference(state: GaussianState, modes, measurement: str):
@@ -260,16 +307,22 @@ def holevo_bound(model: PurifiedModel, direction: str = DIRECTION_RR,
     return _nonnegative_chi(s_all - s_cond)
 
 
-def _nu_tolerance(cm: np.ndarray) -> float:
+_EPS = float(np.finfo(float).eps)
+
+
+def _nu_tolerance(cm: np.ndarray):
     """Entropy clamp for reductions of a state built with entries up to cm's.
 
     Near-unit symplectic eigenvalues of such reductions can sit below 1 by
     the square root of the construction's rounding scale; clamping them to
     1 costs nothing (g is flat there) while the default entropy gate would
-    reject them as unphysical.
+    reject them as unphysical.  One float for one matrix, a list of them
+    for a stack.
     """
-    scale = max(1.0, float(np.max(np.abs(cm))))
-    return max(1e-6, 50.0 * math.sqrt(np.finfo(float).eps * scale))
+    scale = np.maximum(1.0, np.abs(cm).max(axis=(-2, -1))).tolist()
+    if cm.ndim == 2:
+        return max(1e-6, 50.0 * math.sqrt(_EPS * scale))
+    return [max(1e-6, 50.0 * math.sqrt(_EPS * s)) for s in scale]
 
 
 def _nonnegative_chi(chi: float) -> float:
@@ -282,17 +335,29 @@ def _nonnegative_chi(chi: float) -> float:
 
 
 def _eve_chi(cm: np.ndarray, eve_rows, ref_rows, heterodyne: bool,
-             nu_tol: float) -> float:
+             nu_tol):
     """S(E) - S(E | reference measurement) on the eavesdropper's rows.
 
     ``eve_rows`` index the eavesdropper's quadratures in ``cm`` and
     ``ref_rows`` the measured reference quadratures (both quadratures of
     each reference mode for a heterodyne measurement, which adds the
     vacuum to their covariance); either may be a list of rows or a slice.
+    A float for one matrix; a list of floats for a stack, whose
+    ``nu_tol`` is then a list with one clamp per matrix.  The entropies of
+    every matrix, unconditioned and conditioned, come from one stacked
+    spectrum.
     """
-    s_all = covariance_entropy(cm[eve_rows][:, eve_rows], nu_tol)
+    eve = submatrix(cm, eve_rows, eve_rows)
     cond = schur_condition(cm, eve_rows, ref_rows, regularize=heterodyne)
-    return _nonnegative_chi(s_all - covariance_entropy(cond, nu_tol))
+    size = eve.shape[-1]
+    clamps = nu_tol if cm.ndim > 2 else [nu_tol]
+    n = len(clamps)
+    entropies = covariance_entropy(
+        np.concatenate([eve.reshape(n, size, size),
+                        cond.reshape(n, size, size)]), clamps + clamps)
+    chis = [_nonnegative_chi(s_all - s_cond)
+            for s_all, s_cond in zip(entropies[:n], entropies[n:])]
+    return chis if cm.ndim > 2 else chis[0]
 
 
 def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
@@ -337,61 +402,111 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
     raise ScenarioError(f"unknown scenario type {type(scenario)!r}")
 
 
+def _pm_cm(points) -> np.ndarray:
+    """Step-by-step P&M matrices of points that share one mode layout."""
+    if isinstance(points[0][0], MultimodeLeakageScenario):
+        return pm_multimode_cm(points)
+    return pm_premod_cm(points)
+
+
+def _collective_rates(points, protocol: ProtocolChoice
+                      ) -> list[KeyRateReport]:
+    """Collective-attack reports of many points.
+
+    chi_AE (DR) comes from the entanglement-based model of each point
+    (:func:`holevo_bound`).  chi_BE (RR) = S(E) - S(E | x_B) comes from the
+    prepare-and-measure covariance matrices, one stack per mode layout
+    (:func:`~cvleak.scenarios.pm_modes`), where the eavesdropper holds
+    every mode but B: the P&M and entanglement-based pictures share this
+    (B, E) state, so no purification is needed, nor the premodulation
+    model's limit offsets.  B occupies rows 0-1 of each matrix, so with
+    gamma_E its rows 2:, sigma their column 0 and V the x variance of B,
+    chi_BE = S(gamma_E) - S(gamma_E - sigma sigma^T / V) on plain arrays.
+    """
+    direction, beta = protocol.direction, protocol.beta
+    live = [i for i, (sc, _) in enumerate(points) if sc.v_m != 0.0]
+    i_ab = [mutual_info_ab(*points[i]) for i in live]
+    if direction == DIRECTION_RR:
+        chi, v_b = [0.0] * len(live), [0.0] * len(live)
+        for group in _groups(pm_modes(*points[i]) for i in live):
+            cms = _pm_cm([points[live[j]] for j in group])
+            chis = _eve_chi(cms, slice(2, None), slice(0, 1), False,
+                            _nu_tolerance(cms))
+            for j, c, v in zip(group, chis, cms[:, 0, 0].tolist()):
+                chi[j], v_b[j] = c, v
+    else:
+        chi, v_b = [], []
+        for i in live:
+            model = build_purified_model(*points[i])
+            chi.append(holevo_bound(model, direction))
+            v_b.append(model.state.variance(model.bob_mode, "x"))
+    reports = [KeyRateReport(i_ab=0.0, eve_information=0.0, rate=0.0,
+                             direction=direction, attack=ATTACK_COLLECTIVE,
+                             beta=beta) if sc.v_m == 0.0 else None
+               for sc, _ in points]
+    for i, i_ab_i, chi_i, v_b_i in zip(live, i_ab, chi, v_b):
+        sc, ch = points[i]
+        if isinstance(sc, MultimodeLeakageScenario):
+            v_in_cond = sc.v_s
+        else:
+            _, v_in_cond = _premod_input_variances(sc)
+        variances = {
+            "v_b": v_b_i,
+            "v_b_cond_a": channel_output_variance(v_in_cond, ch),
+        }
+        reports[i] = KeyRateReport(
+            i_ab=i_ab_i, eve_information=chi_i, rate=beta * i_ab_i - chi_i,
+            direction=direction, attack=ATTACK_COLLECTIVE, beta=beta,
+            conditional_variances=variances)
+    return reports
+
+
 def key_rate_collective(scenario, channel: ChannelModel,
                         protocol: ProtocolChoice) -> KeyRateReport:
     """Key rate under collective attacks: beta I_AB - chi.
 
-    chi_AE (DR) comes from the entanglement-based model
-    (:func:`holevo_bound`).  chi_BE (RR) = S(E) - S(E | x_B) comes from the
-    prepare-and-measure covariance matrix, where the eavesdropper holds
-    every mode but B: the P&M and entanglement-based pictures share this
-    (B, E) state, so no purification is needed, nor the premodulation
-    model's limit offsets.  B occupies rows 0-1 of that matrix
-    (:func:`~cvleak.scenarios.pm_multimode_cm`,
-    :func:`~cvleak.scenarios.pm_premod_cm`), so with gamma_E its rows 2:,
-    sigma their column 0 and V the x variance of B,
-    chi_BE = S(gamma_E) - S(gamma_E - sigma sigma^T / V) on plain arrays.
+    chi_AE (DR) comes from the entanglement-based model, chi_BE (RR) from
+    the prepare-and-measure covariance matrix.  The stack of one of
+    :func:`key_rates`.
     """
-    direction = protocol.direction
-    if scenario.v_m == 0.0:
-        return KeyRateReport(i_ab=0.0, eve_information=0.0, rate=0.0,
-                             direction=direction, attack=ATTACK_COLLECTIVE,
-                             beta=protocol.beta)
-    i_ab = mutual_info_ab(scenario, channel)
-    if isinstance(scenario, MultimodeLeakageScenario):
-        v_in_cond, build_cm = scenario.v_s, pm_multimode_cm
-    else:
-        _, v_in_cond = _premod_input_variances(scenario)
-        build_cm = pm_premod_cm
-    if direction == DIRECTION_RR:
-        cm = build_cm(scenario, channel)
-        chi = _eve_chi(cm, slice(2, None), slice(0, 1), False,
-                       _nu_tolerance(cm))
-        v_b = float(cm[0, 0])
-    else:
-        model = build_purified_model(scenario, channel)
-        chi = holevo_bound(model, direction)
-        v_b = model.state.variance(model.bob_mode, "x")
-    rate = protocol.beta * i_ab - chi
-    variances = {
-        "v_b": v_b,
-        "v_b_cond_a": channel_output_variance(v_in_cond, channel),
-    }
-    return KeyRateReport(i_ab=i_ab, eve_information=chi, rate=rate,
-                         direction=direction, attack=ATTACK_COLLECTIVE,
-                         beta=protocol.beta, conditional_variances=variances)
+    return _collective_rates([(scenario, channel)], protocol)[0]
 
 
-def key_rate(scenario, channel: ChannelModel,
-             protocol: ProtocolChoice) -> KeyRateReport:
-    """Dispatch on the attack class of the protocol choice."""
+def _key_rates(points, protocol: ProtocolChoice) -> list[KeyRateReport]:
     if protocol.attack == ATTACK_INDIVIDUAL:
         if protocol.beta != 1.0:
             raise ScenarioError(
                 "individual-attack rates assume fully efficient "
                 "post-processing (beta = 1)")
-        return key_rate_individual(scenario, channel, protocol.direction)
-    return key_rate_collective(scenario, channel, protocol)
+        return _individual_rates(points, protocol.direction)
+    return _collective_rates(points, protocol)
+
+
+def key_rates(points, protocol: ProtocolChoice) -> list[KeyRateReport]:
+    """Key rates of a sequence of (scenario, channel) points.
+
+    One report per point, equal to what :func:`key_rate` reports for that
+    point alone.  Individual and collective RR rates are computed on
+    covariance stacks, collective DR rates point by point.  When the stack
+    raises one of the library's errors (all ValueError or RuntimeError),
+    the points are evaluated one at a time, so the error is that of the
+    first failing point in sequence order.
+    """
+    points = list(points)
+    try:
+        return _key_rates(points, protocol)
+    except (ValueError, RuntimeError):
+        if len(points) > 1:
+            for point in points:
+                _key_rates([point], protocol)
+        raise
+
+
+def key_rate(scenario, channel: ChannelModel,
+             protocol: ProtocolChoice) -> KeyRateReport:
+    """Key rate of one point for the attack class of the protocol choice:
+    the stack of one of :func:`key_rates`."""
+    return _key_rates([(scenario, channel)], protocol)[0]
 
 
 def multimode_asymptotics(v: float, eta: float, k: float) -> dict:

@@ -9,11 +9,21 @@ Two source-side threat models are covered:
   splitter of transmittance eta_e before the modulator, and the reflected
   arm is available to the eavesdropper.
 
-Builders return labelled :class:`~cvleak.gaussian.GaussianState` objects in
-shot-noise units; the two constructive prepare-and-measure builders wrap an
-array builder (:func:`pm_multimode_cm`, :func:`pm_premod_cm`) whose fixed
-mode order lets the collective reverse-reconciliation rate skip the labels.
-Conventions documented here once:
+The covariance builders are array builders: each maps a sequence of
+validated (scenario, channel) points to a stack ``(n, 2N, 2N)`` of
+covariance matrices in shot-noise units, one per point, with the modes at
+fixed positions.  :func:`pm_multimode_closed_cm` and
+:func:`pm_premod_closed_cm` give the closed-form pure-loss states of the
+individual attacks; :func:`pm_multimode_cm` and :func:`pm_premod_cm` the
+step-by-step states with the purified channel, on which collective
+reverse-reconciliation rates are computed, for points that share one mode
+layout (:func:`pm_modes`).  Each matrix is built from its point alone,
+with scalar arithmetic, and the matrices are then stacked: a stack of one
+(the single rate of every optimizer step) then costs what one matrix
+costs, and a sweep saves its time in the stacked linear algebra of the
+rates.
+The labelled builders (``build_pm_*``) wrap a stack of one in a
+:class:`~cvleak.gaussian.GaussianState`.  Conventions documented here once:
 
 * all source modes emit minimum-uncertainty states: a mode of signal-quadrature
   variance V has x variance V and p variance 1/V (V = 1 is the vacuum /
@@ -302,67 +312,88 @@ def _sources(variances: tuple[float, ...]) -> np.ndarray:
     return np.diag([w for v in variances for w in (v, 1.0 / v)])
 
 
+def pm_multimode_closed_cm(points) -> np.ndarray:
+    """Closed-form prepare-and-measure matrices over modes B, L, E.
+
+    One (6, 6) matrix per (scenario, channel) point.  B is Bob's received
+    mode, L the effective leakage mode held by the eavesdropper, E the
+    environment mode of the purely lossy channel.  The leakage modes are
+    first reduced to the effective single mode.  Only the pure-loss
+    analytic track of the individual attacks is covered here;
+    :func:`pm_multimode_cm` builds the state with excess noise and every
+    leakage mode.
+    """
+    matrices = []
+    for scenario, channel in points:
+        if channel.epsilon != 0.0:
+            raise ScenarioError(
+                "build_pm_multimode covers the pure-loss track; epsilon "
+                "must be 0")
+        if scenario.n_modes >= 1:
+            v_l, k = effective_leakage(scenario)
+        else:
+            v_l, k = 1.0, 0.0
+        v_s, v_m, eta = scenario.v_s, scenario.v_m, channel.eta
+        root_e = math.sqrt(eta * (1.0 - eta))
+        cm = np.zeros((6, 6))
+        # One quadrature sector per offset; sign flips the modulation copy
+        # in p.
+        for off, (vs, vl, sign) in enumerate(
+                [(v_s, v_l, 1.0), (1.0 / v_s, 1.0 / v_l, -1.0)]):
+            b, l, e = off, 2 + off, 4 + off
+            cm[b, b] = eta * (vs + v_m - 1.0) + 1.0
+            cm[l, l] = vl + k * k * v_m
+            cm[e, e] = (1.0 - eta) * (vs + v_m) + eta
+            cm[b, l] = cm[l, b] = sign * math.sqrt(eta) * k * v_m
+            cm[b, e] = cm[e, b] = -root_e * (vs + v_m - 1.0)
+            cm[l, e] = cm[e, l] = -sign * k * math.sqrt(1.0 - eta) * v_m
+        matrices.append(cm)
+    return np.array(matrices)
+
+
 def build_pm_multimode(scenario: MultimodeLeakageScenario,
                        channel: ChannelModel) -> GaussianState:
-    """Prepare-and-measure covariance matrix over modes B, L, E.
+    """Closed-form prepare-and-measure state over modes B, L, E.
 
-    B is Bob's received mode, L the effective leakage mode held by the
-    eavesdropper, E the environment mode of the purely lossy channel.  The
-    leakage modes are first reduced to the effective single mode.  Only the
-    pure-loss analytic track of the individual attacks is covered here;
-    :func:`build_pm_multimode_constructive` builds the state with excess
-    noise and every leakage mode.
+    The checked state of :func:`pm_multimode_closed_cm` at one point; for
+    one leakage mode it is the state of
+    :func:`build_pm_multimode_constructive`, modes in the same order.
     """
-    if channel.epsilon != 0.0:
-        raise ScenarioError(
-            "build_pm_multimode covers the pure-loss track; epsilon must "
-            "be 0")
-    if scenario.n_modes >= 1:
-        v_l, k = effective_leakage(scenario)
+    return GaussianState(("B", "L", "E"),
+                         pm_multimode_closed_cm([(scenario, channel)])[0])
+
+
+def pm_modes(scenario, channel: ChannelModel) -> tuple[str, ...]:
+    """Mode labels of the step-by-step prepare-and-measure matrix.
+
+    B, then the leakage modes L1 ... LN or ES[, ES_twin when v_es > 1],
+    then the channel environment E_env[, E_env_twin] (none at eta = 1).
+    Points with equal labels have matrices of one layout.
+    """
+    if isinstance(scenario, MultimodeLeakageScenario):
+        side = tuple(f"L{i + 1}" for i in range(scenario.n_modes))
     else:
-        v_l, k = 1.0, 0.0
-    v_s, v_m, eta = scenario.v_s, scenario.v_m, channel.eta
-    root_e = math.sqrt(eta * (1.0 - eta))
-
-    def entries(vs, vl, sign):
-        # One quadrature sector; sign flips the modulation copy in p.
-        v_b = eta * (vs + v_m - 1.0) + 1.0
-        v_ll = vl + k * k * v_m
-        v_e = (1.0 - eta) * (vs + v_m) + eta
-        c_bl = sign * math.sqrt(eta) * k * v_m
-        c_be = -root_e * (vs + v_m - 1.0)
-        c_le = -sign * k * math.sqrt(1.0 - eta) * v_m
-        return v_b, v_ll, v_e, c_bl, c_be, c_le
-
-    cm = np.zeros((6, 6))
-    for off, (vs, vl, sign) in enumerate(
-            [(v_s, v_l, 1.0), (1.0 / v_s, 1.0 / v_l, -1.0)]):
-        v_b, v_ll, v_e, c_bl, c_be, c_le = entries(vs, vl, sign)
-        b, l, e = off, 2 + off, 4 + off
-        cm[b, b] = v_b
-        cm[l, l] = v_ll
-        cm[e, e] = v_e
-        cm[b, l] = cm[l, b] = c_bl
-        cm[b, e] = cm[e, b] = c_be
-        cm[l, e] = cm[e, l] = c_le
-    return GaussianState(("B", "L", "E"), cm)
+        side = ("ES",) if scenario.v_es == 1.0 else ("ES", "ES_twin")
+    return ("B",) + side + _environment(channel)
 
 
-def pm_multimode_cm(scenario: MultimodeLeakageScenario,
-                    channel: ChannelModel) -> np.ndarray:
-    """Covariance matrix of :func:`build_pm_multimode_constructive`.
+def pm_multimode_cm(points) -> np.ndarray:
+    """Matrices of :func:`build_pm_multimode_constructive`, one per point.
 
-    Modes in the fixed order B, L1 ... LN, then the channel environment
-    E_env[, E_env_twin] (none at eta = 1).
+    The (scenario, channel) points share one layout (:func:`pm_modes`):
+    B, L1 ... LN, then the channel environment.
     """
-    k = scenario.k
-    cm = _sources((scenario.v_s,) + scenario.leakage_variances)
-    wx = np.zeros(len(cm))
-    wp = np.zeros(len(cm))
-    wx[0::2] = (1.0,) + (k,) * scenario.n_modes
-    wp[1::2] = (1.0,) + (-k,) * scenario.n_modes
-    cm = _modulate(cm, wx, wp, scenario.v_m)
-    return _noisy_channel(cm, 0, channel)
+    matrices = []
+    for scenario, channel in points:
+        k = scenario.k
+        cm = _sources((scenario.v_s,) + scenario.leakage_variances)
+        wx = np.zeros(len(cm))
+        wp = np.zeros(len(cm))
+        wx[0::2] = (1.0,) + (k,) * scenario.n_modes
+        wp[1::2] = (1.0,) + (-k,) * scenario.n_modes
+        cm = _modulate(cm, wx, wp, scenario.v_m)
+        matrices.append(_noisy_channel(cm, 0, channel))
+    return np.array(matrices)
 
 
 def build_pm_multimode_constructive(scenario: MultimodeLeakageScenario,
@@ -378,68 +409,78 @@ def build_pm_multimode_constructive(scenario: MultimodeLeakageScenario,
     :func:`build_pm_multimode`, modes in the same order.  The matrix comes
     from :func:`pm_multimode_cm`.
     """
-    leak = tuple(f"L{i + 1}" for i in range(scenario.n_modes))
-    return GaussianState(("B",) + leak + _environment(channel),
-                         pm_multimode_cm(scenario, channel),
+    return GaussianState(pm_modes(scenario, channel),
+                         pm_multimode_cm([(scenario, channel)])[0],
                          check_physicality=False)
+
+
+def pm_premod_closed_cm(points) -> np.ndarray:
+    """Closed-form prepare-and-measure matrices over modes B, ES, E.
+
+    One (6, 6) matrix per (scenario, channel) point.  B is Bob's received
+    mode, ES the output of the premodulation channel (eavesdropper's), E
+    the environment mode of the purely lossy channel.  A noisy side-channel
+    input (v_es > 1) is a thermal state, so its variance enters both
+    quadrature sectors unchanged.
+    """
+    matrices = []
+    for scenario, channel in points:
+        if channel.epsilon != 0.0:
+            raise ScenarioError(
+                "build_pm_premod covers the pure-loss track; epsilon must "
+                "be 0")
+        v_m, eta_e, eta = scenario.v_m, scenario.eta_e, channel.eta
+        root_c = math.sqrt(eta * eta_e * (1.0 - eta_e))
+        root_e = math.sqrt(eta * (1.0 - eta))
+        root_s = math.sqrt((1.0 - eta) * (1.0 - eta_e) * eta_e)
+        cm = np.zeros((6, 6))
+        for off, (vs, ves) in enumerate(
+                [(scenario.v_s, scenario.v_es),
+                 (1.0 / scenario.v_s, scenario.v_es)]):
+            u = eta_e * (vs - 1.0) + (1.0 - eta_e) * (ves - 1.0)
+            b, es, e = off, 2 + off, 4 + off
+            cm[b, b] = eta * (u + v_m) + 1.0
+            cm[es, es] = eta_e * ves + (1.0 - eta_e) * vs
+            cm[e, e] = eta + (1.0 - eta) * (v_m + u + 1.0)
+            cm[b, es] = cm[es, b] = (ves - vs) * root_c
+            cm[b, e] = cm[e, b] = -(u + v_m) * root_e
+            cm[es, e] = cm[e, es] = (vs - ves) * root_s
+        matrices.append(cm)
+    return np.array(matrices)
 
 
 def build_pm_premod(scenario: PremodLeakageScenario,
                     channel: ChannelModel) -> GaussianState:
-    """Prepare-and-measure covariance matrix over modes B, ES, E.
+    """Closed-form prepare-and-measure state over modes B, ES, E.
 
-    B is Bob's received mode, ES the output of the premodulation channel
-    (eavesdropper's), E the environment mode of the purely lossy channel.
-    A noisy side-channel input (v_es > 1) is a thermal state, so its
-    variance enters both quadrature sectors unchanged.
+    The checked state of :func:`pm_premod_closed_cm` at one point; it is
+    the (B, ES, E_env) marginal of :func:`build_pm_premod_constructive`.
     """
-    if channel.epsilon != 0.0:
-        raise ScenarioError(
-            "build_pm_premod covers the pure-loss track; epsilon must be 0")
-    v_m, eta_e, eta = scenario.v_m, scenario.eta_e, channel.eta
-    root_c = math.sqrt(eta * eta_e * (1.0 - eta_e))
-    root_e = math.sqrt(eta * (1.0 - eta))
-    root_s = math.sqrt((1.0 - eta) * (1.0 - eta_e) * eta_e)
-
-    cm = np.zeros((6, 6))
-    for off, (vs, ves) in enumerate(
-            [(scenario.v_s, scenario.v_es),
-             (1.0 / scenario.v_s, scenario.v_es)]):
-        u = eta_e * (vs - 1.0) + (1.0 - eta_e) * (ves - 1.0)
-        v_b = eta * (u + v_m) + 1.0
-        v_es = eta_e * ves + (1.0 - eta_e) * vs
-        v_e = eta + (1.0 - eta) * (v_m + u + 1.0)
-        c_bes = (ves - vs) * root_c
-        c_be = -(u + v_m) * root_e
-        c_ese = (vs - ves) * root_s
-        b, es, e = off, 2 + off, 4 + off
-        cm[b, b] = v_b
-        cm[es, es] = v_es
-        cm[e, e] = v_e
-        cm[b, es] = cm[es, b] = c_bes
-        cm[b, e] = cm[e, b] = c_be
-        cm[es, e] = cm[e, es] = c_ese
-    return GaussianState(("B", "ES", "E"), cm)
+    return GaussianState(("B", "ES", "E"),
+                         pm_premod_closed_cm([(scenario, channel)])[0])
 
 
-def pm_premod_cm(scenario: PremodLeakageScenario,
-                 channel: ChannelModel) -> np.ndarray:
-    """Covariance matrix of :func:`build_pm_premod_constructive`.
+def pm_premod_cm(points) -> np.ndarray:
+    """Matrices of :func:`build_pm_premod_constructive`, one per point.
 
-    Modes in the fixed order B, ES[, ES_twin when v_es > 1], then the
-    channel environment E_env[, E_env_twin] (none at eta = 1).
+    The (scenario, channel) points share one layout (:func:`pm_modes`):
+    B, ES[, ES_twin], then the channel environment.
     """
-    if scenario.v_es == 1.0:
-        cm = _sources((scenario.v_s, 1.0))
-    else:
-        cm = append_block(_sources((scenario.v_s,)), epr_block(scenario.v_es))
-    if not scenario.v_s == scenario.v_es == 1.0:
-        cm = beamsplitter(cm, 0, 1, scenario.eta_e)
-    wx = np.zeros(len(cm))
-    wp = np.zeros(len(cm))
-    wx[0] = wp[1] = 1.0
-    cm = _modulate(cm, wx, wp, scenario.v_m)
-    return _noisy_channel(cm, 0, channel)
+    matrices = []
+    for scenario, channel in points:
+        if scenario.v_es == 1.0:
+            cm = _sources((scenario.v_s, 1.0))
+        else:
+            cm = append_block(_sources((scenario.v_s,)),
+                              epr_block(scenario.v_es))
+        if not scenario.v_s == scenario.v_es == 1.0:
+            cm = beamsplitter(cm, 0, 1, scenario.eta_e)
+        wx = np.zeros(len(cm))
+        wp = np.zeros(len(cm))
+        wx[0] = wp[1] = 1.0
+        cm = _modulate(cm, wx, wp, scenario.v_m)
+        matrices.append(_noisy_channel(cm, 0, channel))
+    return np.array(matrices)
 
 
 def build_pm_premod_constructive(scenario: PremodLeakageScenario,
@@ -456,7 +497,6 @@ def build_pm_premod_constructive(scenario: PremodLeakageScenario,
     pure-loss channel the (B, ES, E_env) marginal is the state of
     :func:`build_pm_premod`.  The matrix comes from :func:`pm_premod_cm`.
     """
-    side = ("ES",) if scenario.v_es == 1.0 else ("ES", "ES_twin")
-    return GaussianState(("B",) + side + _environment(channel),
-                         pm_premod_cm(scenario, channel),
+    return GaussianState(pm_modes(scenario, channel),
+                         pm_premod_cm([(scenario, channel)])[0],
                          check_physicality=False)

@@ -663,6 +663,21 @@ class TestPremodDrNoise:
                                      v_s0=0.5e-6)
             assert abs(chi - holevo_bound(halved, "DR")) <= 1e-6
 
+    @pytest.mark.xfail(strict=True, raises=PhysicalityError, reason=(
+        "the EB model's eve-side state has a symplectic eigenvalue of "
+        "0.99760 here, below the entropy clamp; v_s = 0.104 clears the "
+        "v_s >= 0.1 floor of the benchmark's premod DR slots.  It needs a "
+        "DR evaluation without the EB limit offsets"))
+    def test_rate_finite_at_distance_solve_probe(self):
+        # The 91st rate of distance-solve seed 15, operation 95.
+        sc = PremodLeakageScenario(v_s=0.10408239255450247,
+                                   v_m=9.144780629923558,
+                                   eta_e=0.6616734181314597)
+        ch = ChannelModel(eta=0.831763771102671,
+                          epsilon=0.00630194184075035)
+        rep = key_rate(sc, ch, ProtocolChoice("DR", "collective", 0.95))
+        assert math.isfinite(rep.rate)
+
 
 class TestCensusCorners:
     """Multimode points of the benchmark's failure census: k >= 3 at
