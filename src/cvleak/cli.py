@@ -201,15 +201,18 @@ def build_scenario(cfg: dict):
     if not section:
         raise ConfigError("missing [scenario] section")
     kind = _take(section, "scenario", "type", str, required=True).lower()
-    if kind == "premod":
+    if kind == PremodLeakageScenario.kind:
         return _read_record(PremodLeakageScenario, section, "scenario",
                             ("type",))
-    if kind != "multimode":
+    if kind != MultimodeLeakageScenario.kind:
         raise ConfigError(f"unknown scenario type {kind!r} "
                           f"(expected multimode or premod)")
     scenario = _read_record(MultimodeLeakageScenario, section, "scenario",
                             ("type", "n_modes"))
     n_modes = _take(section, "scenario", "n_modes", _as_int)
+    if n_modes is not None and n_modes < 0:
+        raise ConfigError(f"'n_modes' in [scenario] must be >= 0, "
+                          f"got {n_modes}")
     if n_modes is None or n_modes == scenario.n_modes:
         return scenario
     if scenario.n_modes != 1:
@@ -249,9 +252,8 @@ def build_protocol(cfg: dict) -> ProtocolChoice:
 def render_config(scenario, channel: ChannelModel,
                   protocol: ProtocolChoice) -> str:
     """Serialize a parsed configuration back to the flat text format."""
-    kind = ("multimode" if isinstance(scenario, MultimodeLeakageScenario)
-            else "premod")
-    lines = (_render_section("scenario", scenario, f"type = {kind}") + [""]
+    lines = (_render_section("scenario", scenario,
+                             f"type = {scenario.kind}") + [""]
              + _render_section("channel", channel) + [""]
              + _render_section("protocol", protocol))
     return "\n".join(lines) + "\n"

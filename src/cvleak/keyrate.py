@@ -12,10 +12,12 @@ the numeric machinery.
 
 :func:`key_rates` evaluates a sequence of points at once.  Individual and
 collective reverse-reconciliation rates run on covariance stacks, one
-matrix per point, through the array cores of :mod:`cvleak.gaussian` at the
-fixed mode positions of the :mod:`cvleak.scenarios` array builders (Bob's
-mode first), so they build no labelled state; a stack gives each point the
-numbers it gets alone.  :func:`key_rate`, :func:`key_rate_individual` and
+matrix per point from the scenario record's own builder (``closed_cm`` or
+``pm_cm``, Bob's mode first), through the array cores of
+:mod:`cvleak.gaussian`, so they build no labelled state: individual rates
+on one stack for both scenario kinds, collective RR rates on one stack
+per mode layout.  A stack gives each point the numbers it gets alone.
+:func:`key_rate`, :func:`key_rate_individual` and
 :func:`key_rate_collective` are the stack of one.
 
 Lower bound on the secret key rate per channel use, in bits:
@@ -30,6 +32,7 @@ left to callers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,10 +73,6 @@ from .scenarios import (
     channel_output_variance,
     effective_leakage,
     pm_modes,
-    pm_multimode_cm,
-    pm_multimode_closed_cm,
-    pm_premod_cm,
-    pm_premod_closed_cm,
 )
 
 
@@ -118,14 +117,11 @@ def _log2_ratio(num: float, den: float) -> float:
     if num <= 0.0 or den <= 0.0:
         raise PhysicalityError(
             f"conditional variance ratio {num}/{den} is not positive")
-    return 0.5 * math.log2(num / den)
-
-
-def _premod_input_variances(scenario: PremodLeakageScenario):
-    """Signal variance entering the channel, with and without the data."""
-    u_x = (scenario.eta_e * (scenario.v_s - 1.0)
-           + (1.0 - scenario.eta_e) * (scenario.v_es - 1.0))
-    return u_x + 1.0 + scenario.v_m, u_x + 1.0
+    ratio = num / den
+    if math.isinf(ratio) or ratio < sys.float_info.min:
+        # The quotient overflowed or underflowed; the logarithms do not.
+        return 0.5 * (math.log2(num) - math.log2(den))
+    return 0.5 * math.log2(ratio)
 
 
 def mutual_info_ab(scenario, channel: ChannelModel) -> float:
@@ -139,12 +135,7 @@ def mutual_info_ab(scenario, channel: ChannelModel) -> float:
     """
     if scenario.v_m == 0.0:
         return 0.0
-    if isinstance(scenario, MultimodeLeakageScenario):
-        v_in, v_in_cond = scenario.v_s + scenario.v_m, scenario.v_s
-    elif isinstance(scenario, PremodLeakageScenario):
-        v_in, v_in_cond = _premod_input_variances(scenario)
-    else:
-        raise ScenarioError(f"unknown scenario type {type(scenario)!r}")
+    v_in, v_in_cond = scenario.input_variances()
     v_b = channel_output_variance(v_in, channel)
     v_b_cond = channel_output_variance(v_in_cond, channel)
     return _log2_ratio(v_b, v_b_cond)
@@ -155,9 +146,14 @@ def _gaussian_conditional(v: np.ndarray, cross: np.ndarray,
     """Variance of a scalar conditioned on jointly Gaussian variables.
 
     One scalar variance, cross-covariance row and conditioning block per
-    point: v - cross block^-1 cross^T, stacked.
+    point: v - cross block^-1 cross^T, stacked.  A block that is singular
+    in float64 is reported as an unphysical model.
     """
-    solved = np.linalg.solve(block, cross[:, :, None])
+    try:
+        solved = np.linalg.solve(block, cross[:, :, None])
+    except np.linalg.LinAlgError as exc:
+        raise PhysicalityError(
+            f"eavesdropper's conditioning block is singular: {exc}") from exc
     return v - (cross[:, None, :] @ solved)[:, 0, 0]
 
 
@@ -169,22 +165,10 @@ def _groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def _closed_form(points) -> tuple[np.ndarray, list[float]]:
-    """Closed-form P&M matrices of points of one scenario type (rows B, L or
-    ES, E), and the data's modulation ratio on the leakage row."""
-    scenario = points[0][0]
-    if isinstance(scenario, MultimodeLeakageScenario):
-        k_eff = [effective_leakage(sc)[1] if sc.n_modes >= 1 else 0.0
-                 for sc, _ in points]
-        return pm_multimode_closed_cm(points), k_eff
-    if isinstance(scenario, PremodLeakageScenario):
-        return pm_premod_closed_cm(points), [0.0] * len(points)
-    raise ScenarioError(f"unknown scenario type {type(scenario)!r}")
-
-
 def _individual_rates(points, direction: str) -> list[KeyRateReport]:
-    """Individual-attack reports of many points: one closed-form stack per
-    scenario type, one physicality check per matrix."""
+    """Individual-attack reports of many points: one closed-form stack
+    (rows B, L or ES, E) for the points of both scenario kinds, one
+    physicality check per matrix."""
     direction = str(direction).upper()
     if direction not in (DIRECTION_RR, DIRECTION_DR):
         raise ScenarioError(f"direction must be RR or DR, got {direction!r}")
@@ -192,27 +176,23 @@ def _individual_rates(points, direction: str) -> list[KeyRateReport]:
         raise ScenarioError(
             "individual-attack analysis covers the pure-loss channel; "
             "epsilon must be 0")
-    reports = [None] * len(points)
-    for indices in _groups(type(sc) for sc, _ in points):
-        group = [points[i] for i in indices]
-        cms, k_eff = _closed_form(group)
-        cms = physical_covariance(cms)
-        v_b = cms[:, 0, 0]
-        eve_rows = [2, 4]  # x of the leakage mode and of E
-        block = submatrix(cms, eve_rows, eve_rows)
-        if direction == DIRECTION_RR:
-            cond = _gaussian_conditional(v_b, cms[:, 0, eve_rows], block)
-        else:
-            # Alice's data moves the leakage mode by k_eff and E by
-            # -sqrt(1 - eta) times itself.
-            cross = np.array([(k * sc.v_m, -math.sqrt(1.0 - ch.eta) * sc.v_m)
-                              for k, (sc, ch) in zip(k_eff, group)])
-            v_m = np.array([sc.v_m for sc, _ in group], dtype=float)
-            cond = _gaussian_conditional(v_m, cross, block)
-        for i, (sc, ch), v, c in zip(indices, group, v_b.tolist(),
-                                     cond.tolist()):
-            reports[i] = _individual_report(sc, ch, direction, v, c)
-    return reports
+    cms = physical_covariance(np.array([sc.closed_cm(ch)
+                                        for sc, ch in points]))
+    v_b = cms[:, 0, 0]
+    eve_rows = [2, 4]  # x of the leakage mode and of E
+    block = submatrix(cms, eve_rows, eve_rows)
+    if direction == DIRECTION_RR:
+        cond = _gaussian_conditional(v_b, cms[:, 0, eve_rows], block)
+    else:
+        # Alice's data moves the leakage mode by the closed form's data
+        # ratio and E by -sqrt(1 - eta) times itself.
+        cross = np.array([(sc.closed_data_ratio() * sc.v_m,
+                           -math.sqrt(1.0 - ch.eta) * sc.v_m)
+                          for sc, ch in points])
+        v_m = np.array([sc.v_m for sc, _ in points], dtype=float)
+        cond = _gaussian_conditional(v_m, cross, block)
+    return [_individual_report(sc, ch, direction, v, c)
+            for (sc, ch), v, c in zip(points, v_b.tolist(), cond.tolist())]
 
 
 def _individual_report(scenario, channel: ChannelModel, direction: str,
@@ -402,13 +382,6 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
     raise ScenarioError(f"unknown scenario type {type(scenario)!r}")
 
 
-def _pm_cm(points) -> np.ndarray:
-    """Step-by-step P&M matrices of points that share one mode layout."""
-    if isinstance(points[0][0], MultimodeLeakageScenario):
-        return pm_multimode_cm(points)
-    return pm_premod_cm(points)
-
-
 def _collective_rates(points, protocol: ProtocolChoice
                       ) -> list[KeyRateReport]:
     """Collective-attack reports of many points.
@@ -429,7 +402,8 @@ def _collective_rates(points, protocol: ProtocolChoice
     if direction == DIRECTION_RR:
         chi, v_b = [0.0] * len(live), [0.0] * len(live)
         for group in _groups(pm_modes(*points[i]) for i in live):
-            cms = _pm_cm([points[live[j]] for j in group])
+            group_points = [points[live[j]] for j in group]
+            cms = np.array([sc.pm_cm(ch) for sc, ch in group_points])
             chis = _eve_chi(cms, slice(2, None), slice(0, 1), False,
                             _nu_tolerance(cms))
             for j, c, v in zip(group, chis, cms[:, 0, 0].tolist()):
@@ -446,10 +420,7 @@ def _collective_rates(points, protocol: ProtocolChoice
                for sc, _ in points]
     for i, i_ab_i, chi_i, v_b_i in zip(live, i_ab, chi, v_b):
         sc, ch = points[i]
-        if isinstance(sc, MultimodeLeakageScenario):
-            v_in_cond = sc.v_s
-        else:
-            _, v_in_cond = _premod_input_variances(sc)
+        _, v_in_cond = sc.input_variances()
         variances = {
             "v_b": v_b_i,
             "v_b_cond_a": channel_output_variance(v_in_cond, ch),

@@ -9,20 +9,18 @@ Two source-side threat models are covered:
   splitter of transmittance eta_e before the modulator, and the reflected
   arm is available to the eavesdropper.
 
-The covariance builders are array builders: each maps a sequence of
-validated (scenario, channel) points to a stack ``(n, 2N, 2N)`` of
-covariance matrices in shot-noise units, one per point, with the modes at
-fixed positions.  :func:`pm_multimode_closed_cm` and
-:func:`pm_premod_closed_cm` give the closed-form pure-loss states of the
-individual attacks; :func:`pm_multimode_cm` and :func:`pm_premod_cm` the
-step-by-step states with the purified channel, on which collective
-reverse-reconciliation rates are computed, for points that share one mode
-layout (:func:`pm_modes`).  Each matrix is built from its point alone,
-with scalar arithmetic, and the matrices are then stacked: a stack of one
-(the single rate of every optimizer step) then costs what one matrix
-costs, and a sweep saves its time in the stacked linear algebra of the
-rates.
-The labelled builders (``build_pm_*``) wrap a stack of one in a
+Each scenario record is the one place that knows its kind: its config
+name (``kind``), the signal variances entering the channel
+(``input_variances``), the eavesdropper's source modes (``side_modes``),
+and its prepare-and-measure covariance matrices in shot-noise units, built
+from the point alone with scalar arithmetic and the modes at fixed
+positions.  ``closed_cm(channel)`` is the closed-form pure-loss state of
+the individual attacks (modes B, L or ES, E), with ``closed_data_ratio``
+the ratio of Alice's data on its leakage row; ``pm_cm(channel)`` is the
+step-by-step state with the purified channel, on which collective
+reverse-reconciliation rates are computed, modes as :func:`pm_modes`
+names them.  The rate layer stacks these matrices over many points.  The
+labelled builders (``build_pm_*``) wrap one matrix in a
 :class:`~cvleak.gaussian.GaussianState`.  Conventions documented here once:
 
 * all source modes emit minimum-uncertainty states: a mode of signal-quadrature
@@ -42,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -106,6 +105,8 @@ class MultimodeLeakageScenario:
     the leakage modes.
     """
 
+    kind: ClassVar[str] = "multimode"  # the [scenario] type in configurations
+
     v_s: float
     v_m: float
     k: float = 0.0
@@ -130,6 +131,63 @@ class MultimodeLeakageScenario:
     def n_modes(self) -> int:
         return len(self.leakage_variances)
 
+    def input_variances(self) -> tuple[float, float]:
+        """Signal x variance into the channel, with and without the data."""
+        return self.v_s + self.v_m, self.v_s
+
+    def side_modes(self) -> tuple[str, ...]:
+        """The eavesdropper's source modes in :meth:`pm_cm`: L1 ... LN."""
+        return tuple(f"L{i + 1}" for i in range(self.n_modes))
+
+    def closed_cm(self, channel: ChannelModel) -> np.ndarray:
+        """Closed-form prepare-and-measure matrix over modes B, L, E.
+
+        B is Bob's received mode, L the effective leakage mode held by the
+        eavesdropper, E the environment mode of the purely lossy channel.
+        The leakage modes are first reduced to the effective single mode.
+        Only the pure-loss analytic track of the individual attacks is
+        covered here; :meth:`pm_cm` builds the state with excess noise and
+        every leakage mode.
+        """
+        if channel.epsilon != 0.0:
+            raise ScenarioError(
+                "build_pm_multimode covers the pure-loss track; epsilon "
+                "must be 0")
+        if self.n_modes >= 1:
+            v_l, k = effective_leakage(self)
+        else:
+            v_l, k = 1.0, 0.0
+        v_s, v_m, eta = self.v_s, self.v_m, channel.eta
+        root_e = math.sqrt(eta * (1.0 - eta))
+        cm = np.zeros((6, 6))
+        # One quadrature sector per offset; sign flips the modulation copy
+        # in p.
+        for off, (vs, vl, sign) in enumerate(
+                [(v_s, v_l, 1.0), (1.0 / v_s, 1.0 / v_l, -1.0)]):
+            b, l, e = off, 2 + off, 4 + off
+            cm[b, b] = eta * (vs + v_m - 1.0) + 1.0
+            cm[l, l] = vl + k * k * v_m
+            cm[e, e] = (1.0 - eta) * (vs + v_m) + eta
+            cm[b, l] = cm[l, b] = sign * math.sqrt(eta) * k * v_m
+            cm[b, e] = cm[e, b] = -root_e * (vs + v_m - 1.0)
+            cm[l, e] = cm[e, l] = -sign * k * math.sqrt(1.0 - eta) * v_m
+        return cm
+
+    def closed_data_ratio(self) -> float:
+        """Ratio of Alice's data on the L row of :meth:`closed_cm`."""
+        return effective_leakage(self)[1] if self.n_modes >= 1 else 0.0
+
+    def pm_cm(self, channel: ChannelModel) -> np.ndarray:
+        """Matrix of :func:`build_pm_multimode_constructive`."""
+        k = self.k
+        cm = _sources((self.v_s,) + self.leakage_variances)
+        wx = np.zeros(len(cm))
+        wp = np.zeros(len(cm))
+        wx[0::2] = (1.0,) + (k,) * self.n_modes
+        wp[1::2] = (1.0,) + (-k,) * self.n_modes
+        cm = _modulate(cm, wx, wp, self.v_m)
+        return _noisy_channel(cm, 0, channel)
+
 
 @dataclass(frozen=True)
 class PremodLeakageScenario:
@@ -138,6 +196,8 @@ class PremodLeakageScenario:
     The side-channel input mode has variance v_es (1 = vacuum); its output
     arm belongs to the eavesdropper.
     """
+
+    kind: ClassVar[str] = "premod"  # the [scenario] type in configurations
 
     v_s: float
     v_m: float
@@ -156,6 +216,64 @@ class PremodLeakageScenario:
                 f"eta_e must lie in (0, 1], got {self.eta_e}")
         if self.v_es < 1.0:
             raise ScenarioError(f"v_es must be >= 1, got {self.v_es}")
+
+    def input_variances(self) -> tuple[float, float]:
+        """Signal x variance into the channel, with and without the data."""
+        u_x = (self.eta_e * (self.v_s - 1.0)
+               + (1.0 - self.eta_e) * (self.v_es - 1.0))
+        return u_x + 1.0 + self.v_m, u_x + 1.0
+
+    def side_modes(self) -> tuple[str, ...]:
+        """The eavesdropper's source modes in :meth:`pm_cm`."""
+        return ("ES",) if self.v_es == 1.0 else ("ES", "ES_twin")
+
+    def closed_cm(self, channel: ChannelModel) -> np.ndarray:
+        """Closed-form prepare-and-measure matrix over modes B, ES, E.
+
+        B is Bob's received mode, ES the output of the premodulation
+        channel (eavesdropper's), E the environment mode of the purely
+        lossy channel.  A noisy side-channel input (v_es > 1) is a thermal
+        state, so its variance enters both quadrature sectors unchanged.
+        """
+        if channel.epsilon != 0.0:
+            raise ScenarioError(
+                "build_pm_premod covers the pure-loss track; epsilon must "
+                "be 0")
+        v_m, eta_e, eta = self.v_m, self.eta_e, channel.eta
+        root_c = math.sqrt(eta * eta_e * (1.0 - eta_e))
+        root_e = math.sqrt(eta * (1.0 - eta))
+        root_s = math.sqrt((1.0 - eta) * (1.0 - eta_e) * eta_e)
+        cm = np.zeros((6, 6))
+        for off, (vs, ves) in enumerate(
+                [(self.v_s, self.v_es), (1.0 / self.v_s, self.v_es)]):
+            u = eta_e * (vs - 1.0) + (1.0 - eta_e) * (ves - 1.0)
+            b, es, e = off, 2 + off, 4 + off
+            cm[b, b] = eta * (u + v_m) + 1.0
+            cm[es, es] = eta_e * ves + (1.0 - eta_e) * vs
+            cm[e, e] = eta + (1.0 - eta) * (v_m + u + 1.0)
+            cm[b, es] = cm[es, b] = (ves - vs) * root_c
+            cm[b, e] = cm[e, b] = -(u + v_m) * root_e
+            cm[es, e] = cm[e, es] = (vs - ves) * root_s
+        return cm
+
+    def closed_data_ratio(self) -> float:
+        """Ratio of Alice's data on the ES row of :meth:`closed_cm`: the
+        side channel is tapped before the modulation."""
+        return 0.0
+
+    def pm_cm(self, channel: ChannelModel) -> np.ndarray:
+        """Matrix of :func:`build_pm_premod_constructive`."""
+        if self.v_es == 1.0:
+            cm = _sources((self.v_s, 1.0))
+        else:
+            cm = append_block(_sources((self.v_s,)), epr_block(self.v_es))
+        if not self.v_s == self.v_es == 1.0:
+            cm = beamsplitter(cm, 0, 1, self.eta_e)
+        wx = np.zeros(len(cm))
+        wp = np.zeros(len(cm))
+        wx[0] = wp[1] = 1.0
+        cm = _modulate(cm, wx, wp, self.v_m)
+        return _noisy_channel(cm, 0, channel)
 
 
 @dataclass(frozen=True)
@@ -312,88 +430,27 @@ def _sources(variances: tuple[float, ...]) -> np.ndarray:
     return np.diag([w for v in variances for w in (v, 1.0 / v)])
 
 
-def pm_multimode_closed_cm(points) -> np.ndarray:
-    """Closed-form prepare-and-measure matrices over modes B, L, E.
-
-    One (6, 6) matrix per (scenario, channel) point.  B is Bob's received
-    mode, L the effective leakage mode held by the eavesdropper, E the
-    environment mode of the purely lossy channel.  The leakage modes are
-    first reduced to the effective single mode.  Only the pure-loss
-    analytic track of the individual attacks is covered here;
-    :func:`pm_multimode_cm` builds the state with excess noise and every
-    leakage mode.
-    """
-    matrices = []
-    for scenario, channel in points:
-        if channel.epsilon != 0.0:
-            raise ScenarioError(
-                "build_pm_multimode covers the pure-loss track; epsilon "
-                "must be 0")
-        if scenario.n_modes >= 1:
-            v_l, k = effective_leakage(scenario)
-        else:
-            v_l, k = 1.0, 0.0
-        v_s, v_m, eta = scenario.v_s, scenario.v_m, channel.eta
-        root_e = math.sqrt(eta * (1.0 - eta))
-        cm = np.zeros((6, 6))
-        # One quadrature sector per offset; sign flips the modulation copy
-        # in p.
-        for off, (vs, vl, sign) in enumerate(
-                [(v_s, v_l, 1.0), (1.0 / v_s, 1.0 / v_l, -1.0)]):
-            b, l, e = off, 2 + off, 4 + off
-            cm[b, b] = eta * (vs + v_m - 1.0) + 1.0
-            cm[l, l] = vl + k * k * v_m
-            cm[e, e] = (1.0 - eta) * (vs + v_m) + eta
-            cm[b, l] = cm[l, b] = sign * math.sqrt(eta) * k * v_m
-            cm[b, e] = cm[e, b] = -root_e * (vs + v_m - 1.0)
-            cm[l, e] = cm[e, l] = -sign * k * math.sqrt(1.0 - eta) * v_m
-        matrices.append(cm)
-    return np.array(matrices)
 
 
 def build_pm_multimode(scenario: MultimodeLeakageScenario,
                        channel: ChannelModel) -> GaussianState:
     """Closed-form prepare-and-measure state over modes B, L, E.
 
-    The checked state of :func:`pm_multimode_closed_cm` at one point; for
+    The checked state of :meth:`MultimodeLeakageScenario.closed_cm`; for
     one leakage mode it is the state of
     :func:`build_pm_multimode_constructive`, modes in the same order.
     """
-    return GaussianState(("B", "L", "E"),
-                         pm_multimode_closed_cm([(scenario, channel)])[0])
+    return GaussianState(("B", "L", "E"), scenario.closed_cm(channel))
 
 
 def pm_modes(scenario, channel: ChannelModel) -> tuple[str, ...]:
     """Mode labels of the step-by-step prepare-and-measure matrix.
 
-    B, then the leakage modes L1 ... LN or ES[, ES_twin when v_es > 1],
-    then the channel environment E_env[, E_env_twin] (none at eta = 1).
-    Points with equal labels have matrices of one layout.
+    B, then the scenario's side modes L1 ... LN or ES[, ES_twin when
+    v_es > 1], then the channel environment E_env[, E_env_twin] (none at
+    eta = 1).  Points with equal labels have matrices of one layout.
     """
-    if isinstance(scenario, MultimodeLeakageScenario):
-        side = tuple(f"L{i + 1}" for i in range(scenario.n_modes))
-    else:
-        side = ("ES",) if scenario.v_es == 1.0 else ("ES", "ES_twin")
-    return ("B",) + side + _environment(channel)
-
-
-def pm_multimode_cm(points) -> np.ndarray:
-    """Matrices of :func:`build_pm_multimode_constructive`, one per point.
-
-    The (scenario, channel) points share one layout (:func:`pm_modes`):
-    B, L1 ... LN, then the channel environment.
-    """
-    matrices = []
-    for scenario, channel in points:
-        k = scenario.k
-        cm = _sources((scenario.v_s,) + scenario.leakage_variances)
-        wx = np.zeros(len(cm))
-        wp = np.zeros(len(cm))
-        wx[0::2] = (1.0,) + (k,) * scenario.n_modes
-        wp[1::2] = (1.0,) + (-k,) * scenario.n_modes
-        cm = _modulate(cm, wx, wp, scenario.v_m)
-        matrices.append(_noisy_channel(cm, 0, channel))
-    return np.array(matrices)
+    return ("B",) + scenario.side_modes() + _environment(channel)
 
 
 def build_pm_multimode_constructive(scenario: MultimodeLeakageScenario,
@@ -407,80 +464,20 @@ def build_pm_multimode_constructive(scenario: MultimodeLeakageScenario,
     eavesdropper, so no reduction of the leakage modes is needed.  For one
     leakage mode on a pure-loss channel this is the state of
     :func:`build_pm_multimode`, modes in the same order.  The matrix comes
-    from :func:`pm_multimode_cm`.
+    from :meth:`MultimodeLeakageScenario.pm_cm`.
     """
     return GaussianState(pm_modes(scenario, channel),
-                         pm_multimode_cm([(scenario, channel)])[0],
-                         check_physicality=False)
-
-
-def pm_premod_closed_cm(points) -> np.ndarray:
-    """Closed-form prepare-and-measure matrices over modes B, ES, E.
-
-    One (6, 6) matrix per (scenario, channel) point.  B is Bob's received
-    mode, ES the output of the premodulation channel (eavesdropper's), E
-    the environment mode of the purely lossy channel.  A noisy side-channel
-    input (v_es > 1) is a thermal state, so its variance enters both
-    quadrature sectors unchanged.
-    """
-    matrices = []
-    for scenario, channel in points:
-        if channel.epsilon != 0.0:
-            raise ScenarioError(
-                "build_pm_premod covers the pure-loss track; epsilon must "
-                "be 0")
-        v_m, eta_e, eta = scenario.v_m, scenario.eta_e, channel.eta
-        root_c = math.sqrt(eta * eta_e * (1.0 - eta_e))
-        root_e = math.sqrt(eta * (1.0 - eta))
-        root_s = math.sqrt((1.0 - eta) * (1.0 - eta_e) * eta_e)
-        cm = np.zeros((6, 6))
-        for off, (vs, ves) in enumerate(
-                [(scenario.v_s, scenario.v_es),
-                 (1.0 / scenario.v_s, scenario.v_es)]):
-            u = eta_e * (vs - 1.0) + (1.0 - eta_e) * (ves - 1.0)
-            b, es, e = off, 2 + off, 4 + off
-            cm[b, b] = eta * (u + v_m) + 1.0
-            cm[es, es] = eta_e * ves + (1.0 - eta_e) * vs
-            cm[e, e] = eta + (1.0 - eta) * (v_m + u + 1.0)
-            cm[b, es] = cm[es, b] = (ves - vs) * root_c
-            cm[b, e] = cm[e, b] = -(u + v_m) * root_e
-            cm[es, e] = cm[e, es] = (vs - ves) * root_s
-        matrices.append(cm)
-    return np.array(matrices)
+                         scenario.pm_cm(channel), check_physicality=False)
 
 
 def build_pm_premod(scenario: PremodLeakageScenario,
                     channel: ChannelModel) -> GaussianState:
     """Closed-form prepare-and-measure state over modes B, ES, E.
 
-    The checked state of :func:`pm_premod_closed_cm` at one point; it is
+    The checked state of :meth:`PremodLeakageScenario.closed_cm`; it is
     the (B, ES, E_env) marginal of :func:`build_pm_premod_constructive`.
     """
-    return GaussianState(("B", "ES", "E"),
-                         pm_premod_closed_cm([(scenario, channel)])[0])
-
-
-def pm_premod_cm(points) -> np.ndarray:
-    """Matrices of :func:`build_pm_premod_constructive`, one per point.
-
-    The (scenario, channel) points share one layout (:func:`pm_modes`):
-    B, ES[, ES_twin], then the channel environment.
-    """
-    matrices = []
-    for scenario, channel in points:
-        if scenario.v_es == 1.0:
-            cm = _sources((scenario.v_s, 1.0))
-        else:
-            cm = append_block(_sources((scenario.v_s,)),
-                              epr_block(scenario.v_es))
-        if not scenario.v_s == scenario.v_es == 1.0:
-            cm = beamsplitter(cm, 0, 1, scenario.eta_e)
-        wx = np.zeros(len(cm))
-        wp = np.zeros(len(cm))
-        wx[0] = wp[1] = 1.0
-        cm = _modulate(cm, wx, wp, scenario.v_m)
-        matrices.append(_noisy_channel(cm, 0, channel))
-    return np.array(matrices)
+    return GaussianState(("B", "ES", "E"), scenario.closed_cm(channel))
 
 
 def build_pm_premod_constructive(scenario: PremodLeakageScenario,
@@ -495,8 +492,8 @@ def build_pm_premod_constructive(scenario: PremodLeakageScenario,
     inputs leave the beam splitter unchanged; it is skipped then, which
     keeps coherent-state output exactly independent of eta_e.  On a
     pure-loss channel the (B, ES, E_env) marginal is the state of
-    :func:`build_pm_premod`.  The matrix comes from :func:`pm_premod_cm`.
+    :func:`build_pm_premod`.  The matrix comes from
+    :meth:`PremodLeakageScenario.pm_cm`.
     """
     return GaussianState(pm_modes(scenario, channel),
-                         pm_premod_cm([(scenario, channel)])[0],
-                         check_physicality=False)
+                         scenario.pm_cm(channel), check_physicality=False)

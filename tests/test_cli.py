@@ -578,6 +578,17 @@ target = distance
          BASE_CONFIG.replace("eta = 0.4", "distance_km = inf"),
          2, "distance_km must be finite, got inf"),
         ("rate", "section.json", '{"scenario": 5}', 2, "'scenario'"),
+        ("rate", "modes.cfg",
+         BASE_CONFIG.replace("leakage_variances = 0.5",
+                             "leakage_variances = 0.5\nn_modes = -1"),
+         2, "'n_modes' in [scenario] must be >= 0, got -1"),
+        # The eavesdropper's x block is singular to float64.
+        ("rate", "singular.cfg",
+         BASE_CONFIG.replace("v_s = 0.5", "v_s = 1e-12")
+         .replace("v_m = 4.0", "v_m = 1e6").replace("k = 0.5", "k = 2.0")
+         .replace("leakage_variances = 0.5", "leakage_variances = 1e-12")
+         .replace("eta = 0.4", "eta = 1e-12"),
+         4, "singular"),
         ("validate", "words.txt", "abc def\n", 3, "words.txt"),
         ("validate", "ragged.txt", "1 0\n0\n", 3, "ragged.txt"),
     ])
@@ -590,7 +601,8 @@ target = distance
         assert len(err.splitlines()) == 1
         assert expect in err
         assert "Traceback" not in err
-        prefix = "i/o error:" if code == 3 else "configuration error:"
+        prefix = {2: "configuration error:", 3: "i/o error:",
+                  4: "computation error:"}[code]
         assert err.startswith(prefix)
 
 

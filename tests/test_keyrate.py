@@ -241,6 +241,44 @@ class TestIndividualDomain:
         assert math.isfinite(rep.rate)
 
 
+class TestFloatRangeEdges:
+    """Moments at the edges of float64 give a typed error or a finite
+    rate, never a raw LinAlgError or an infinite rate."""
+
+    @pytest.mark.parametrize("direction", ["RR", "DR"])
+    @pytest.mark.parametrize("sc, eta", [
+        (MultimodeLeakageScenario(v_s=1e-12, v_m=1e6, k=2.0,
+                                  leakage_variances=(1e-12,)), 1e-12),
+        (PremodLeakageScenario(v_s=1e-17, v_m=0.0, eta_e=0.9), 1e-17)])
+    def test_singular_conditioning_block_is_unphysical(self, sc, eta,
+                                                       direction):
+        with pytest.raises(PhysicalityError, match="singular"):
+            key_rate_individual(sc, ChannelModel(eta=eta), direction)
+
+    # V_B / V_B|A = 1e12 / 1e-300 overflows.
+    OVERFLOW = MultimodeLeakageScenario(v_s=1e-300, v_m=1e12, k=2.0)
+
+    @pytest.mark.parametrize("protocol, epsilon", [
+        (ProtocolChoice("RR", "individual", 1.0), 0.0),
+        (ProtocolChoice("DR", "individual", 1.0), 0.0),
+        (ProtocolChoice("RR", "collective", 0.95), 0.01)])
+    def test_overflowing_ratio_gives_finite_rate(self, protocol, epsilon):
+        rep = key_rate(self.OVERFLOW, ChannelModel(eta=1.0, epsilon=epsilon),
+                       protocol)
+        assert rep.i_ab == 0.5 * (math.log2(1e12) - math.log2(1e-300))
+        assert math.isfinite(rep.rate)
+
+    def test_log_ratio_out_of_range(self):
+        log_ratio = keyrate._log2_ratio
+        want = 0.5 * (math.log2(1e12) - math.log2(1e-300))
+        assert log_ratio(1e12, 1e-300) == want
+        # 1e-312 is subnormal, 1e-600 is 0.
+        assert log_ratio(1e-300, 1e12) == -want
+        assert log_ratio(1e-300, 1e300) == -0.5 * (math.log2(1e300)
+                                                   - math.log2(1e-300))
+        assert log_ratio(3.0, 2.0) == 0.5 * math.log2(1.5)
+
+
 # The collective domain adds excess noise and reconciliation efficiency,
 # each within 0.1 of its ideal value.
 EPSILON = st.one_of(st.just(0.0), st.floats(0.0, 0.1))

@@ -173,6 +173,40 @@ class TestStackGuarantees:
             physical_covariance(asymmetric)
 
 
+class TestMixedKinds:
+    """A stack that interleaves both scenario kinds, with mode layouts that
+    differ from point to point (eta = 1 has no channel environment, v_es > 1
+    adds a side-channel twin, N leakage modes add N rows), gives every
+    point exactly what key_rate gives it alone."""
+
+    SCENARIOS = [MULTIMODE, dataclasses.replace(PREMOD, v_es=1.0),
+                 dataclasses.replace(MULTIMODE, leakage_variances=(0.5, 0.8)),
+                 PREMOD,
+                 dataclasses.replace(MULTIMODE, leakage_variances=()),
+                 dataclasses.replace(PREMOD, v_s=1.0, v_es=1.0),
+                 dataclasses.replace(MULTIMODE, v_m=0.0)]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS[:3], ids=_case_id)
+    def test_interleaved_kinds_equal_point_by_point(self, monkeypatch,
+                                                    protocol):
+        epsilon = 0.0 if protocol.attack == "individual" else 0.01
+        points = [(sc, ChannelModel(eta=eta, epsilon=epsilon))
+                  for eta in (1.0, 0.4) for sc in self.SCENARIOS]
+        want = [key_rate(sc, ch, protocol) for sc, ch in points]
+        checked = []
+        original = keyrate.physical_covariance
+
+        def counted(cm, *args, **kwargs):
+            checked.append(len(cm))
+            return original(cm, *args, **kwargs)
+
+        monkeypatch.setattr(keyrate, "physical_covariance", counted)
+        assert key_rates(points, protocol) == want
+        if protocol.attack == "individual":
+            # Both kinds share one closed-form stack.
+            assert checked == [len(points)]
+
+
 class TestFailureOrder:
     """A stack that fails raises the error of the first failing point."""
 
