@@ -13,15 +13,16 @@ functions safe to call concurrently.
 
 Beneath the labelled API each operation has one label-free array core that
 acts on plain covariance matrices with modes at fixed positions:
-:func:`append_block` (with :func:`epr_block`), :func:`beamsplitter` (and
-:func:`symplectic_map`), :func:`schur_condition` (with :func:`submatrix`),
-:func:`covariance_entropy` and the physicality check
-:func:`physical_covariance`.  The cores from :func:`beamsplitter` on act
-on the last two axes, so they accept one ``(2N, 2N)`` matrix or a stack
-``(n, 2N, 2N)`` of them (a beam splitter mixes every matrix of a stack
-alike), and a stack gives every matrix the numbers one call per matrix
-gives: the batched Cholesky, Hermitian eigenvalue and linear solves and
-the stacked matrix products compute each matrix as the unbatched ones do.
+:func:`append_block` (with :func:`epr_block`), :func:`squeezer`,
+:func:`beamsplitter` (and :func:`symplectic_map`), :func:`schur_condition`
+(with :func:`submatrix`), :func:`covariance_entropy` and the physicality
+check :func:`physical_covariance`; :func:`mode_rows` finds a mode's rows.
+The cores from :func:`squeezer` on act on the last two axes, so they
+accept one ``(2N, 2N)`` matrix or a stack ``(n, 2N, 2N)`` of them (a beam
+splitter mixes every matrix of a stack alike), and a stack gives every
+matrix the numbers one call per matrix gives: the batched Cholesky,
+Hermitian eigenvalue and linear solves and the stacked matrix products
+compute each matrix as the unbatched ones do.
 The labelled functions translate labels to rows, call their core on one
 matrix and wrap the result in one :class:`GaussianState`; code that
 already knows the mode order (the key rates of a sweep) calls the cores on
@@ -166,11 +167,7 @@ class GaussianState:
         return len(self.mode_labels)
 
     def index(self, label: str) -> int:
-        try:
-            return self.mode_labels.index(label)
-        except ValueError:
-            raise ModeError(f"unknown mode {label!r}; "
-                            f"present: {self.mode_labels}") from None
+        return _mode_index(self.mode_labels, label)
 
     def has_mode(self, label: str) -> bool:
         return label in self.mode_labels
@@ -185,12 +182,28 @@ class GaussianState:
         return float(self.cm[i, i])
 
     def rows(self, labels, quadrature: "str | None" = None) -> list[int]:
-        """Covariance rows of the listed modes, in the listed order.
+        """Covariance rows of the listed modes (:func:`mode_rows`)."""
+        return mode_rows(self.mode_labels, labels, quadrature)
 
-        Both quadratures of each mode, or only ``quadrature`` ('x'/'p').
-        """
-        offsets = (0, 1) if quadrature is None else (_quad_offset(quadrature),)
-        return [2 * self.index(l) + q for l in labels for q in offsets]
+
+def _mode_index(mode_labels: tuple[str, ...], label: str) -> int:
+    try:
+        return mode_labels.index(label)
+    except ValueError:
+        raise ModeError(f"unknown mode {label!r}; "
+                        f"present: {mode_labels}") from None
+
+
+def mode_rows(mode_labels: tuple[str, ...], labels,
+              quadrature: "str | None" = None) -> list[int]:
+    """Rows of the listed modes in a matrix over ``mode_labels``.
+
+    In the listed order; both quadratures of each mode, or only
+    ``quadrature`` ('x'/'p').
+    """
+    offsets = (0, 1) if quadrature is None else (_quad_offset(quadrature),)
+    return [2 * _mode_index(mode_labels, l) + q
+            for l in labels for q in offsets]
 
 
 def _quad_offset(quadrature: str) -> int:
@@ -317,15 +330,20 @@ def apply_beamsplitter(state: GaussianState, mode_a: str, mode_b: str,
                          check_physicality=False)
 
 
-def apply_squeezer(state: GaussianState, mode: str, r: float) -> GaussianState:
-    """Single-mode squeezer: x variance scales by e^{-2r}, p by e^{+2r}."""
+def squeezer(cm: np.ndarray, i: int, r: float) -> np.ndarray:
+    """Array core: squeeze mode i, x variance by e^{-2r} and p by e^{+2r}."""
     if not math.isfinite(r):
         raise ValueError(f"squeezing parameter must be finite, got {r}")
-    i = state.index(mode)
-    s = np.eye(2 * state.n_modes)
+    s = np.eye(cm.shape[-1])
     s[2 * i, 2 * i] = math.exp(-r)
     s[2 * i + 1, 2 * i + 1] = math.exp(r)
-    return GaussianState(state.mode_labels, symplectic_map(state.cm, s),
+    return symplectic_map(cm, s)
+
+
+def apply_squeezer(state: GaussianState, mode: str, r: float) -> GaussianState:
+    """Single-mode squeezer (:func:`squeezer`)."""
+    return GaussianState(state.mode_labels,
+                         squeezer(state.cm, state.index(mode), r),
                          check_physicality=False)
 
 

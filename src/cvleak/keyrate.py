@@ -5,20 +5,24 @@ with conditional variances (the eavesdropper homodynes her modes in the key
 quadrature).  Collective attacks use Holevo bounds on the eavesdropper's
 reduced states: for reverse reconciliation on the P&M covariance matrix
 with the channel purified, which the P&M and entanglement-based pictures
-share; for direct reconciliation on the purified entanglement-based
+share; for direct reconciliation on the purified entanglement-based (EB)
 models.  The strong-modulation, short-distance and premodulation closed
 forms are provided both for direct use and as independent cross-checks of
 the numeric machinery.
 
-:func:`key_rates` evaluates a sequence of points at once.  Individual and
-collective reverse-reconciliation rates run on covariance stacks, one
-matrix per point from the scenario record's own builder (``closed_cm`` or
-``pm_cm``, Bob's mode first), through the array cores of
-:mod:`cvleak.gaussian`, so they build no labelled state: individual rates
-on one stack for both scenario kinds, collective RR rates on one stack
-per mode layout.  A stack gives each point the numbers it gets alone.
-:func:`key_rate`, :func:`key_rate_individual` and
-:func:`key_rate_collective` are the stack of one.
+:func:`key_rates` evaluates a sequence of points at once.  Every rate runs
+on covariance stacks through the array cores of :mod:`cvleak.gaussian`,
+so none builds a labelled state.  Individual and collective
+reverse-reconciliation rates take one matrix per point from the scenario
+record's own builder (``closed_cm`` or ``pm_cm``, Bob's mode first):
+individual rates on one stack for both scenario kinds, collective RR
+rates on one stack per mode layout.  Collective direct-reconciliation
+rates take the pre-channel EB matrix of each point from the cores of
+:mod:`cvleak.purification`, attach the purified channel, and stack the
+points of one EB layout.  A stack gives each point the numbers it gets
+alone.  :func:`key_rate`, :func:`key_rate_individual` and
+:func:`key_rate_collective` are the stack of one; :func:`holevo_bound`
+evaluates the same bound on one labelled model.
 
 Lower bound on the secret key rate per channel use, in bits:
 
@@ -40,10 +44,12 @@ import numpy as np
 from .gaussian import (
     GaussianState,
     PhysicalityError,
+    _symplectic_eigenvalues,
     covariance_entropy,
     homodyne_condition,  # unused here; perfbench/tracer.py wraps this name
     joint_heterodyne_condition,
     joint_homodyne_condition,
+    mode_rows,
     partial_trace,
     physical_covariance,
     physicality_tolerance,
@@ -52,10 +58,15 @@ from .gaussian import (
     von_neumann_entropy,
 )
 from .purification import (
+    MULTIMODE_LAYOUT,
     PURITY_TOL,
     PurifiedModel,
-    build_eb_multimode,
-    build_eb_premod,
+    _purified_model,
+    build_eb_multimode,  # unused here; perfbench/tracer.py wraps this name
+    build_eb_premod,  # unused here; perfbench/tracer.py wraps this name
+    eb_multimode_cm,
+    eb_premod_cm,
+    premod_layout,
     solve_bloch_messiah,
 )
 from .scenarios import (
@@ -70,6 +81,8 @@ from .scenarios import (
     ScenarioError,
     build_pm_multimode,  # unused here; perfbench/tracer.py wraps this name
     build_pm_premod,  # unused here; perfbench/tracer.py wraps this name
+    _environment,
+    _noisy_channel,
     channel_output_variance,
     effective_leakage,
     pm_modes,
@@ -261,11 +274,7 @@ def holevo_bound(model: PurifiedModel, direction: str = DIRECTION_RR,
     direction = str(direction).upper()
     if direction not in (DIRECTION_RR, DIRECTION_DR):
         raise ScenarioError(f"direction must be RR or DR, got {direction!r}")
-    defect = model.purity_defect()
-    if defect > max(PURITY_TOL, physicality_tolerance(model.pre_channel.cm)):
-        raise PhysicalityError(
-            f"purified model is not pure (defect {defect:.3e})")
-    nu_tol = _nu_tolerance(model.pre_channel.cm)
+    nu_tol = _purity_clamps(model.pre_channel.cm)
     if direction == DIRECTION_RR:
         ref_modes, ref_meas = (model.bob_mode,), "homodyne_x"
     else:
@@ -305,6 +314,20 @@ def _nu_tolerance(cm: np.ndarray):
     return [max(1e-6, 50.0 * math.sqrt(_EPS * s)) for s in scale]
 
 
+def _purity_clamps(pre: np.ndarray):
+    """Entropy clamps (:func:`_nu_tolerance`) of purified models whose
+    pre-channel matrices ``pre`` (one, or a stack) are checked pure: every
+    symplectic eigenvalue within max(PURITY_TOL, physicality tolerance)
+    of 1, else PhysicalityError for the first impure matrix."""
+    defects = np.abs(_symplectic_eigenvalues(pre) - 1.0).max(axis=-1)
+    for defect, tol in zip(np.ravel(defects).tolist(),
+                           np.ravel(physicality_tolerance(pre)).tolist()):
+        if defect > max(PURITY_TOL, tol):
+            raise PhysicalityError(
+                f"purified model is not pure (defect {defect:.3e})")
+    return _nu_tolerance(pre)
+
+
 def _nonnegative_chi(chi: float) -> float:
     """Clamp rounding below zero; a clearly negative bound is unphysical."""
     if chi < 0.0:
@@ -340,11 +363,12 @@ def _eve_chi(cm: np.ndarray, eve_rows, ref_rows, heterodyne: bool,
     return chis if cm.ndim > 2 else chis[0]
 
 
-def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
-    """Entanglement-based model for either scenario, channel attached.
+def _eb_pre_channel(scenario):
+    """Pre-channel entanglement-based matrix of one point, and its layout.
 
-    Collective DR rates are computed on it; collective RR rates need none
-    (:func:`key_rate_collective`), so its domain limits bind DR only.
+    Runs the EB models' domain checks.  Multimode leakage reduces to one
+    effective leakage mode, whose purification comes from
+    :func:`~cvleak.purification.solve_bloch_messiah`.
     """
     if isinstance(scenario, MultimodeLeakageScenario):
         if scenario.n_modes == 0:
@@ -361,15 +385,15 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
             v_l_eff, k_eff = effective_leakage(scenario)
         solution = solve_bloch_messiah(k_eff, scenario.v_s, scenario.v_m,
                                        v_l_eff)
-        return build_eb_multimode(solution, scenario.v_s, scenario.v_m,
-                                  k_eff, channel)
+        return (eb_multimode_cm(solution, scenario.v_s, scenario.v_m, k_eff),
+                MULTIMODE_LAYOUT)
     if isinstance(scenario, PremodLeakageScenario):
         # The limit offset 1 - t1 is a numerical knob.  Strong modulation
         # tolerates a proportionally larger offset (the model error stays
         # O(1 - t1)) and needs one, since the modulating EPR variance
         # v_m / (1 - t1) would otherwise exceed what float64 entropy
         # computations can support.  The offset must stay below 0.01
-        # (build_eb_premod's window), so v_m must stay below 1e5; an EPR
+        # (eb_premod_cm's window), so v_m must stay below 1e5; an EPR
         # variance >= 1 needs v_m >= 1e-6, the smallest offset.  The bounds
         # are stated on v_m, the parameter the caller set.
         if not 1e-6 <= scenario.v_m < 1e5:
@@ -377,17 +401,60 @@ def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
                 f"premodulation collective DR rates need 1e-6 <= v_m < 1e5, "
                 f"got {scenario.v_m}")
         t1 = 1.0 - max(1e-6, scenario.v_m / 1e7)
-        return build_eb_premod(scenario.v_s, scenario.v_m, scenario.eta_e,
-                               channel, t1=t1, v_es=scenario.v_es)
+        return (eb_premod_cm(scenario.v_s, scenario.v_m, scenario.eta_e,
+                             t1=t1, v_es=scenario.v_es),
+                premod_layout(scenario.v_es))
     raise ScenarioError(f"unknown scenario type {type(scenario)!r}")
+
+
+def build_purified_model(scenario, channel: ChannelModel) -> PurifiedModel:
+    """Entanglement-based model for either scenario, channel attached.
+
+    The labelled form of the matrix collective DR rates are computed on
+    (:func:`_eb_pre_channel`); collective RR rates need none
+    (:func:`key_rate_collective`), so its domain limits bind DR only.
+    """
+    pre, layout = _eb_pre_channel(scenario)
+    return _purified_model(pre, layout, scenario.v_s, channel)
+
+
+def _dr_chis(points) -> tuple[list[float], list[float]]:
+    """chi_AE and Bob's x variance of collective DR points.
+
+    Each point's pre-channel EB matrix (:func:`_eb_pre_channel`) crosses
+    the purified channel on B.  The points of one layout (EB modes,
+    channel environment, heterodyne or homodyne readout) share one stack
+    for the purity check (:func:`_purity_clamps`) and chi, as
+    :func:`holevo_bound` evaluates them on one model.
+    """
+    pres, posts, keys = [], [], []
+    for sc, ch in points:
+        pre, layout = _eb_pre_channel(sc)
+        pres.append(pre)
+        posts.append(_noisy_channel(pre, layout.modes.index("B"), ch))
+        keys.append((layout, _environment(ch), sc.v_s == 1.0))
+    chi, v_b = [0.0] * len(points), [0.0] * len(points)
+    for group in _groups(keys):
+        layout, env, heterodyne = keys[group[0]]
+        modes = layout.modes + env
+        nu_tol = _purity_clamps(np.array([pres[j] for j in group]))
+        post = np.array([posts[j] for j in group])
+        chis = _eve_chi(post, mode_rows(modes, layout.eve_modes + env),
+                        mode_rows(modes, layout.alice_modes,
+                                  None if heterodyne else "x"),
+                        heterodyne, nu_tol)
+        bob = 2 * modes.index("B")
+        for j, c, v in zip(group, chis, post[:, bob, bob].tolist()):
+            chi[j], v_b[j] = c, v
+    return chi, v_b
 
 
 def _collective_rates(points, protocol: ProtocolChoice
                       ) -> list[KeyRateReport]:
-    """Collective-attack reports of many points.
+    """Collective-attack reports of many points, one stack per layout.
 
     chi_AE (DR) comes from the entanglement-based model of each point
-    (:func:`holevo_bound`).  chi_BE (RR) = S(E) - S(E | x_B) comes from the
+    (:func:`_dr_chis`).  chi_BE (RR) = S(E) - S(E | x_B) comes from the
     prepare-and-measure covariance matrices, one stack per mode layout
     (:func:`~cvleak.scenarios.pm_modes`), where the eavesdropper holds
     every mode but B: the P&M and entanglement-based pictures share this
@@ -409,11 +476,7 @@ def _collective_rates(points, protocol: ProtocolChoice
             for j, c, v in zip(group, chis, cms[:, 0, 0].tolist()):
                 chi[j], v_b[j] = c, v
     else:
-        chi, v_b = [], []
-        for i in live:
-            model = build_purified_model(*points[i])
-            chi.append(holevo_bound(model, direction))
-            v_b.append(model.state.variance(model.bob_mode, "x"))
+        chi, v_b = _dr_chis([points[i] for i in live])
     reports = [KeyRateReport(i_ab=0.0, eve_information=0.0, rate=0.0,
                              direction=direction, attack=ATTACK_COLLECTIVE,
                              beta=beta) if sc.v_m == 0.0 else None
@@ -457,8 +520,8 @@ def key_rates(points, protocol: ProtocolChoice) -> list[KeyRateReport]:
     """Key rates of a sequence of (scenario, channel) points.
 
     One report per point, equal to what :func:`key_rate` reports for that
-    point alone.  Individual and collective RR rates are computed on
-    covariance stacks, collective DR rates point by point.  When the stack
+    point alone.  The rates are computed on covariance stacks, one per
+    mode layout for collective rates.  When the stack
     raises one of the library's errors (all ValueError or RuntimeError),
     the points are evaluated one at a time, so the error is that of the
     first failing point in sequence order.

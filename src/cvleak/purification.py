@@ -25,6 +25,16 @@ independent cross-check.  Two constructions are provided:
 
 Both builders attach the untrusted channel in purified form, so the global
 state stays pure and eavesdropper entropies equal trusted-side entropies.
+
+Each model's pre-channel matrix comes from one label-free array core, with
+the modes at the fixed positions of its :class:`EBLayout`:
+:func:`two_source_cm` (with :func:`eb_multimode_cm`, which adds the
+moment guard) over A, B, L, D, and :func:`eb_premod_cm` over B, A, C, D,
+ES[, ES_twin].  The collective DR rates of :mod:`cvleak.keyrate` stack
+these matrices and build no labelled state; :func:`two_source_circuit`
+and the ``build_eb_*`` builders wrap the same matrix in one
+:class:`~cvleak.gaussian.GaussianState` and attach the channel
+(:func:`~cvleak.scenarios.apply_noisy_channel`).
 """
 
 from __future__ import annotations
@@ -37,10 +47,12 @@ import numpy as np
 
 from .gaussian import (
     GaussianState,
-    apply_beamsplitter,
-    apply_squeezer,
-    attach_epr,
-    attach_vacuum,
+    PhysicalityError,
+    append_block,
+    beamsplitter,
+    epr_block,
+    physical_covariance,
+    squeezer,
     symplectic_eigenvalues,
 )
 from .scenarios import ChannelModel, ScenarioError, apply_noisy_channel
@@ -71,7 +83,7 @@ class BlochMessiahSolution:
     applied to the x and to the p quadratures of (B, L), with
     x_map^T p_map = I.  residual is the largest absolute defect of the
     target moments relative to the largest of them (at least 1),
-    evaluated on the explicitly constructed state.
+    evaluated on the explicitly constructed matrix.
     """
 
     v1: float
@@ -126,19 +138,48 @@ def _moment_targets(k: float, v_s: float, v_m: float,
             k * v_m, -k * v_m)
 
 
-def two_source_circuit(solution: BlochMessiahSolution) -> GaussianState:
-    """Build the four-mode state (A, B, L, D) of a purification solution.
+@dataclass(frozen=True)
+class EBLayout:
+    """Mode roles of a pre-channel entanglement-based matrix.
+
+    modes labels its modes in matrix order; B is the receiver's mode,
+    alice_modes are the sender's kept modes and eve_modes the
+    eavesdropper's source modes.
+    """
+
+    modes: tuple[str, ...]
+    alice_modes: tuple[str, ...]
+    eve_modes: tuple[str, ...]
+
+
+MULTIMODE_LAYOUT = EBLayout(("A", "B", "L", "D"), ("A", "D"), ("L",))
+
+
+def premod_layout(v_es: float) -> EBLayout:
+    """Layout of :func:`eb_premod_cm`: a thermal side-channel input
+    (v_es > 1) adds its purifying twin ES_twin, also the eavesdropper's."""
+    side = ("ES",) if v_es == 1.0 else ("ES", "ES_twin")
+    return EBLayout(("B", "A", "C", "D") + side, ("A", "C", "D"), side)
+
+
+def two_source_cm(solution: BlochMessiahSolution) -> np.ndarray:
+    """Array core of :func:`two_source_circuit`: modes A, B, L, D.
 
     EPR(A, B, v1) and EPR(L, D, v2), then x_map on the x quadratures of
     (B, L) and p_map on their p quadratures.  x_map^T p_map = I makes the
-    map symplectic, so the state stays pure.
+    map symplectic, so the state stays pure.  The map's rounding asymmetry
+    is checked and averaged out as for a state (:func:`physical_covariance`).
     """
-    st = attach_epr(GaussianState.empty(), "A", "B", solution.v1)
-    st = attach_epr(st, "L", "D", solution.v2)
     s = np.eye(8)
     s[2:6:2, 2:6:2] = solution.x_map
     s[3:6:2, 3:6:2] = solution.p_map
-    return GaussianState(st.mode_labels, s @ st.cm @ s.T,
+    cm = append_block(epr_block(solution.v1), epr_block(solution.v2))
+    return physical_covariance(s @ cm @ s.T, check_physicality=False)
+
+
+def two_source_circuit(solution: BlochMessiahSolution) -> GaussianState:
+    """The four-mode state (A, B, L, D) of a purification solution."""
+    return GaussianState(MULTIMODE_LAYOUT.modes, two_source_cm(solution),
                          check_physicality=False)
 
 
@@ -154,11 +195,13 @@ def solve_bloch_messiah(k: float, v_s: float, v_m: float,
     matters: at k = 5, v_s = 1e-3, v_m = 3e5 the eigenvalues of X P give
     the small symplectic eigenvalue to 7e-4, the singular values to 2e-8.
 
-    The moments of the built state are checked against the target, with
-    the defect divided by max(1, largest |target moment|): the built
-    moments carry a few ulp of rounding, which an absolute tolerance
-    would reject above moments of about 1e7.  :class:`SolverError` with
-    that residual is raised above RESIDUAL_TOL.
+    The moments of the built matrix (:func:`two_source_cm`) are checked
+    against the target, with the defect divided by max(1, largest
+    |target moment|): the built moments carry a few ulp of rounding, which
+    an absolute tolerance would reject above moments of about 1e7.
+    :class:`SolverError` with that residual is raised above RESIDUAL_TOL.
+    A target that rounding to float64 leaves not positive definite raises
+    :class:`~cvleak.gaussian.PhysicalityError`.
     """
     if not 0.0 <= k < math.inf:
         raise ScenarioError(f"k must be finite and >= 0, got {k}")
@@ -173,8 +216,15 @@ def solve_bloch_messiah(k: float, v_s: float, v_m: float,
     xb, pb, xl, pl, cx, cp = _moment_targets(k, v_s, v_m, v_l)
     x_block = np.array([[xb, cx], [cx, xl]])
     p_block = np.array([[pb, cp], [cp, pl]])
-    l_x = np.linalg.cholesky(x_block)
-    l_p = np.linalg.cholesky(p_block)
+    try:
+        l_x = np.linalg.cholesky(x_block)
+        l_p = np.linalg.cholesky(p_block)
+    except np.linalg.LinAlgError:
+        # A physical target is positive definite; rounding the moments to
+        # float64 can lose that (v_s = 1e-14 next to v_m = 1e6).
+        raise PhysicalityError(
+            f"the target (B, L) block is not positive definite in float64 "
+            f"(k = {k}, v_s = {v_s}, v_m = {v_m}, v_l = {v_l})") from None
     u, nu, vt = np.linalg.svd(l_x.T @ l_p)
     scale = 1.0 / np.sqrt(nu)
     x_map = l_x @ u * scale
@@ -185,7 +235,7 @@ def solve_bloch_messiah(k: float, v_s: float, v_m: float,
     solution = BlochMessiahSolution(
         v1=max(float(nu[0]), 1.0), v2=max(float(nu[1]), 1.0),
         x_map=x_map, p_map=p_map, residual=math.nan)
-    cm = two_source_circuit(solution).cm
+    cm = two_source_cm(solution)
     # Rows 2, 4 are the x quadratures of (B, L), rows 3, 5 their p.
     res = max(float(np.max(np.abs(cm[2:6:2, 2:6:2] - x_block))),
               float(np.max(np.abs(cm[3:6:2, 3:6:2] - p_block))))
@@ -196,6 +246,51 @@ def solve_bloch_messiah(k: float, v_s: float, v_m: float,
     return dataclasses.replace(solution, residual=res)
 
 
+def _purified_model(pre_cm: np.ndarray, layout: EBLayout, v_s: float,
+                    channel: ChannelModel) -> PurifiedModel:
+    """The labelled model around a pre-channel matrix, channel attached.
+
+    The sender's data readout is a heterodyne for the coherent protocol
+    (v_s = 1) and an x homodyne for the squeezed one.
+    """
+    pre = GaussianState(layout.modes, pre_cm, check_physicality=False)
+    post, env = apply_noisy_channel(pre, "B", channel)
+    return PurifiedModel(
+        state=post,
+        pre_channel=pre,
+        bob_mode="B",
+        alice_modes=layout.alice_modes,
+        alice_measurement="heterodyne" if v_s == 1.0 else "homodyne_x",
+        eve_modes=layout.eve_modes + env,
+    )
+
+
+def eb_multimode_cm(solution: BlochMessiahSolution, v_s: float, v_m: float,
+                    k: float) -> np.ndarray:
+    """Pre-channel matrix of :func:`build_eb_multimode` (MULTIMODE_LAYOUT).
+
+    The solution's matrix (:func:`two_source_cm`) once its residual and
+    the signal moments it carries are checked.
+    """
+    if solution.residual > RESIDUAL_TOL:
+        raise ScenarioError(
+            f"solution residual {solution.residual:.3e} exceeds "
+            f"{RESIDUAL_TOL}")
+    pre = two_source_cm(solution)
+    # Cheap guard: the signal ensemble must match the requested protocol,
+    # relative to the largest of these moments as in the solver's residual.
+    # Rows 2, 3 are the quadratures of B, row 4 the x quadrature of L.
+    scale = max(1.0, 1.0 / v_s + v_m, k * v_m)
+    for got, want, name in (
+            (float(pre[2, 2]), v_s + v_m, "V_B(x)"),
+            (float(pre[3, 3]), 1.0 / v_s + v_m, "V_B(p)"),
+            (pre[2, 4], k * v_m, "C_BL(x)")):
+        if abs(got - want) > 1e-6 * scale:
+            raise ScenarioError(
+                f"solution does not reproduce {name}: {got} vs {want}")
+    return pre
+
+
 def build_eb_multimode(solution: BlochMessiahSolution, v_s: float,
                        v_m: float, k: float,
                        channel: ChannelModel) -> PurifiedModel:
@@ -203,46 +298,21 @@ def build_eb_multimode(solution: BlochMessiahSolution, v_s: float,
 
     Modes A and D stay with the sender, B crosses the purified untrusted
     channel to the receiver, L and the channel environment belong to the
-    eavesdropper.  The sender's data readout is a heterodyne for the
-    coherent protocol (v_s = 1) and an x homodyne for the squeezed one.
+    eavesdropper.  The matrix comes from :func:`eb_multimode_cm`.
     """
-    if solution.residual > RESIDUAL_TOL:
-        raise ScenarioError(
-            f"solution residual {solution.residual:.3e} exceeds "
-            f"{RESIDUAL_TOL}")
-    pre = two_source_circuit(solution)
-    # Cheap guard: the signal ensemble must match the requested protocol,
-    # relative to the largest of these moments as in the solver's residual.
-    scale = max(1.0, 1.0 / v_s + v_m, k * v_m)
-    for got, want, name in (
-            (pre.variance("B", "x"), v_s + v_m, "V_B(x)"),
-            (pre.variance("B", "p"), 1.0 / v_s + v_m, "V_B(p)"),
-            (pre.block("B", "L")[0, 0], k * v_m, "C_BL(x)")):
-        if abs(got - want) > 1e-6 * scale:
-            raise ScenarioError(
-                f"solution does not reproduce {name}: {got} vs {want}")
-    post, env = apply_noisy_channel(pre, "B", channel)
-    meas = "heterodyne" if v_s == 1.0 else "homodyne_x"
-    return PurifiedModel(
-        state=post,
-        pre_channel=pre,
-        bob_mode="B",
-        alice_modes=("A", "D"),
-        alice_measurement=meas,
-        eve_modes=("L",) + env,
-    )
+    return _purified_model(eb_multimode_cm(solution, v_s, v_m, k),
+                           MULTIMODE_LAYOUT, v_s, channel)
 
 
-def build_eb_premod(v_s: float, v_m: float, eta_e: float,
-                    channel: ChannelModel, t1: float = 1.0 - 1e-6,
-                    v_s0: float = 1e-6, v_es: float = 1.0) -> PurifiedModel:
-    """Entanglement-based model of the premodulation-leakage protocol.
+def eb_premod_cm(v_s: float, v_m: float, eta_e: float,
+                 t1: float = 1.0 - 1e-6, v_s0: float = 1e-6,
+                 v_es: float = 1.0) -> np.ndarray:
+    """Pre-channel matrix of :func:`build_eb_premod` (:func:`premod_layout`).
 
-    t1 is the transmittance of the two strongly unbalanced beam splitters
-    and v_s0 the x variance of the readout ancilla; the exact protocol is
-    recovered in the limit t1 -> 1, v_s0 -> 0, realized here at finite
-    offsets inside the declared stability window.  The modulating EPR pair
-    has variance v_m / (1 - t1).
+    The squeezed signal B, the readout ancilla A of x variance v_s0, the
+    modulating EPR pair (C, D) and the side-channel input ES (with its
+    twin when thermal) are mixed as: B with ES at eta_e, B with D and
+    A with C at t1.
     """
     if not 0.99 < t1 < 1.0:
         raise ScenarioError(f"t1 must lie in (0.99, 1), got {t1}")
@@ -262,28 +332,27 @@ def build_eb_premod(v_s: float, v_m: float, eta_e: float,
             f"v_m = {v_m} is below the stability window for t1 = {t1} "
             f"(need v_m >= {1.0 - t1})")
     v_epr = max(v_epr, 1.0)
-    st = GaussianState.empty()
-    st = attach_vacuum(st, "B")
-    st = apply_squeezer(st, "B", -0.5 * math.log(v_s))
-    st = attach_vacuum(st, "A")
-    st = apply_squeezer(st, "A", -0.5 * math.log(v_s0))
-    st = attach_epr(st, "C", "D", v_epr)
-    eve_extra: tuple[str, ...] = ()
-    if v_es == 1.0:
-        st = attach_vacuum(st, "ES")
-    else:
-        st = attach_epr(st, "ES", "ES_twin", v_es)
-        eve_extra = ("ES_twin",)
-    st = apply_beamsplitter(st, "B", "ES", eta_e)
-    st = apply_beamsplitter(st, "B", "D", t1)
-    st = apply_beamsplitter(st, "A", "C", t1)
-    post, env = apply_noisy_channel(st, "B", channel)
-    meas = "heterodyne" if v_s == 1.0 else "homodyne_x"
-    return PurifiedModel(
-        state=post,
-        pre_channel=st,
-        bob_mode="B",
-        alice_modes=("A", "C", "D"),
-        alice_measurement=meas,
-        eve_modes=("ES",) + eve_extra + env,
-    )
+    cm = squeezer(np.eye(2), 0, -0.5 * math.log(v_s))
+    cm = squeezer(append_block(cm, np.eye(2)), 1, -0.5 * math.log(v_s0))
+    cm = append_block(cm, epr_block(v_epr))
+    cm = append_block(cm, np.eye(2) if v_es == 1.0 else epr_block(v_es))
+    cm = beamsplitter(cm, 0, 4, eta_e)
+    cm = beamsplitter(cm, 0, 3, t1)
+    return beamsplitter(cm, 1, 2, t1)
+
+
+def build_eb_premod(v_s: float, v_m: float, eta_e: float,
+                    channel: ChannelModel, t1: float = 1.0 - 1e-6,
+                    v_s0: float = 1e-6, v_es: float = 1.0) -> PurifiedModel:
+    """Entanglement-based model of the premodulation-leakage protocol.
+
+    t1 is the transmittance of the two strongly unbalanced beam splitters
+    and v_s0 the x variance of the readout ancilla; the exact protocol is
+    recovered in the limit t1 -> 1, v_s0 -> 0, realized here at finite
+    offsets inside the declared stability window.  The modulating EPR pair
+    has variance v_m / (1 - t1).  The matrix comes from
+    :func:`eb_premod_cm`.
+    """
+    return _purified_model(
+        eb_premod_cm(v_s, v_m, eta_e, t1=t1, v_s0=v_s0, v_es=v_es),
+        premod_layout(v_es), v_s, channel)

@@ -294,6 +294,30 @@ beta = 0.95
         assert "below 1" in err
         assert err.count("\n") == 1
 
+    def test_float64_singular_target_exits_4(self, tmp_path, capsys):
+        # Multimode DR with v_s = 1e-14 next to v_m = 1e6: the rounded
+        # target block of the purification is singular.
+        cfg = write(tmp_path, "singular.cfg", """
+[scenario]
+type = multimode
+v_s = 1e-14
+v_m = 1e6
+k = 1.0
+leakage_variances = 1e-14
+[channel]
+eta = 0.5
+epsilon = 0.01
+[protocol]
+direction = DR
+attack = collective
+beta = 0.95
+""")
+        assert main(["rate", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ")
+        assert "not positive definite in float64" in err
+        assert err.count("\n") == 1
+
     def test_premod_immunity_byte_identical(self, tmp_path, capsys):
         outputs = []
         for eta_e in (0.5, 1.0):

@@ -255,6 +255,17 @@ class TestFloatRangeEdges:
         with pytest.raises(PhysicalityError, match="singular"):
             key_rate_individual(sc, ChannelModel(eta=eta), direction)
 
+    @pytest.mark.parametrize("v_s, v_m", [(1e-14, 1e6), (1e-16, 1.0)])
+    def test_singular_purification_target_is_unphysical(self, v_s, v_m):
+        # Collective DR: v_s vanishes next to v_m in the rounded target
+        # block that the purification factors.
+        sc = MultimodeLeakageScenario(v_s=v_s, v_m=v_m, k=1.0,
+                                      leakage_variances=(v_s,))
+        with pytest.raises(PhysicalityError,
+                           match="not positive definite in float64"):
+            key_rate(sc, ChannelModel(eta=0.5, epsilon=0.01),
+                     ProtocolChoice("DR", "collective", 0.95))
+
     # V_B / V_B|A = 1e12 / 1e-300 overflows.
     OVERFLOW = MultimodeLeakageScenario(v_s=1e-300, v_m=1e12, k=2.0)
 
@@ -520,7 +531,7 @@ class TestPrepareAndMeasureCrossCheck:
         def forbidden(*args, **kwargs):
             raise AssertionError("collective RR reached the purification")
         for name in ("solve_bloch_messiah", "build_eb_multimode",
-                     "build_eb_premod"):
+                     "build_eb_premod", "eb_multimode_cm", "eb_premod_cm"):
             monkeypatch.setattr(keyrate, name, forbidden)
         ch = ChannelModel(eta=0.3, epsilon=0.01)
         scenarios = (multimode(v_s=0.5, v_m=4.0, k=0.5),
@@ -535,9 +546,10 @@ class TestPrepareAndMeasureCrossCheck:
                     sc, ch, ProtocolChoice("DR", "collective", 0.95))
 
     def test_rr_builds_no_labelled_state(self, monkeypatch):
-        """Collective RR runs on plain covariance arrays: no GaussianState
-        is constructed, for any leakage-mode count, side-channel input or
-        channel branch (pure loss, excess noise, eta = 1)."""
+        """Collective RR, and then DR, run on plain covariance arrays: no
+        GaussianState is constructed, for any leakage-mode count,
+        side-channel input or channel branch (pure loss, excess noise,
+        eta = 1)."""
         built = []
         original = GaussianState.__post_init__
 
@@ -558,9 +570,13 @@ class TestPrepareAndMeasureCrossCheck:
         result = optimize_vm(scenarios[1], channels[1], proto)
         assert math.isfinite(result.value)
         assert built == []
-        # The counter sees the labelled path: DR still builds states.
-        key_rate_collective(scenarios[1], channels[1],
-                            ProtocolChoice("DR", "collective", 0.95))
+        # Collective DR runs on plain arrays too, on every layout.
+        proto = ProtocolChoice("DR", "collective", 0.95)
+        for sc, ch in itertools.product(scenarios, channels):
+            assert math.isfinite(key_rate_collective(sc, ch, proto).rate)
+        assert built == []
+        # The counter sees the labelled path.
+        build_purified_model(scenarios[1], channels[1])
         assert built
 
 

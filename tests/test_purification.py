@@ -8,9 +8,14 @@ import numpy as np
 import pytest
 
 from cvleak.gaussian import (
+    GaussianState,
+    PhysicalityError,
     apply_beamsplitter,
     apply_squeezer,
+    attach_epr,
+    attach_vacuum,
     partial_trace,
+    squeezer,
     symplectic_eigenvalues,
 )
 from cvleak.purification import (
@@ -18,8 +23,12 @@ from cvleak.purification import (
     _moment_targets,
     build_eb_multimode,
     build_eb_premod,
+    eb_multimode_cm,
+    eb_premod_cm,
+    premod_layout,
     solve_bloch_messiah,
     two_source_circuit,
+    two_source_cm,
 )
 from cvleak.scenarios import (
     ChannelModel,
@@ -154,16 +163,22 @@ class TestSolver:
             solve_bloch_messiah(0.5, 0.5, math.inf)
 
     def test_nonconvergence_reported_honestly(self, monkeypatch):
-        # The residual is measured on the built state, so a builder that
+        # The residual is measured on the built matrix, so a builder that
         # misses the target must raise with that residual rather than
         # return junk.
         import cvleak.purification as pur
-        build = pur.two_source_circuit
-        monkeypatch.setattr(pur, "two_source_circuit",
-                            lambda sol: apply_squeezer(build(sol), "B", 1e-3))
+        build = pur.two_source_cm
+        monkeypatch.setattr(pur, "two_source_cm",
+                            lambda sol: squeezer(build(sol), 1, 1e-3))
         with pytest.raises(SolverError) as err:
             solve_bloch_messiah(0.5, 0.5, 4.0)
         assert err.value.best_residual > 1e-8
+
+    @pytest.mark.parametrize("v_s, v_m", [(1e-14, 1e6), (1e-16, 1.0)])
+    def test_target_not_positive_definite_in_float64(self, v_s, v_m):
+        # v_s vanishes next to v_m, so the rounded x block is singular.
+        with pytest.raises(PhysicalityError, match="not positive definite"):
+            solve_bloch_messiah(1.0, v_s, v_m)
 
 
 class TestMultimodeModel:
@@ -309,3 +324,44 @@ class TestPremodModel:
                                 t1=1.0 - 1e-3, v_s0=1e-3, v_es=1.6)
         assert "ES_twin" in model.eve_modes
         assert model.purity_defect() < 1e-7
+
+
+class TestArrayCores:
+    """The labelled builders wrap the array cores' matrices, and the cores
+    apply the labelled operations in the same order, so both give the
+    same floats."""
+
+    @pytest.mark.parametrize("v_s, v_m, eta_e, v_es, t1", [
+        (0.5, 4.0, 0.7, 1.0, 1.0 - 1e-6), (0.05, 900.0, 0.55, 1.0, 0.99991),
+        (1.0, 3.0, 1.0, 1.0, 1.0 - 1e-6), (0.3, 20.0, 0.8, 2.5, 1.0 - 2e-6)])
+    def test_premod_core_follows_the_labelled_operations(self, v_s, v_m,
+                                                         eta_e, v_es, t1):
+        v_s0 = 1e-6
+        st = attach_vacuum(GaussianState.empty(), "B")
+        st = apply_squeezer(st, "B", -0.5 * math.log(v_s))
+        st = attach_vacuum(st, "A")
+        st = apply_squeezer(st, "A", -0.5 * math.log(v_s0))
+        st = attach_epr(st, "C", "D", v_m / (1.0 - t1))
+        if v_es == 1.0:
+            st = attach_vacuum(st, "ES")
+        else:
+            st = attach_epr(st, "ES", "ES_twin", v_es)
+        st = apply_beamsplitter(st, "B", "ES", eta_e)
+        st = apply_beamsplitter(st, "B", "D", t1)
+        st = apply_beamsplitter(st, "A", "C", t1)
+        core = eb_premod_cm(v_s, v_m, eta_e, t1=t1, v_s0=v_s0, v_es=v_es)
+        assert np.array_equal(core, st.cm)
+        model = build_eb_premod(v_s, v_m, eta_e, ChannelModel(eta=0.5),
+                                t1=t1, v_s0=v_s0, v_es=v_es)
+        assert model.pre_channel.mode_labels == premod_layout(v_es).modes
+        assert model.pre_channel.mode_labels == st.mode_labels
+        assert np.array_equal(model.pre_channel.cm, core)
+
+    @pytest.mark.parametrize("k, v_s, v_m, v_l", GRID)
+    def test_multimode_models_wrap_the_core(self, k, v_s, v_m, v_l):
+        sol = solve_bloch_messiah(k, v_s, v_m, v_l)
+        core = two_source_cm(sol)
+        assert np.array_equal(two_source_circuit(sol).cm, core)
+        model = build_eb_multimode(sol, v_s, v_m, k, ChannelModel(eta=0.5))
+        assert np.array_equal(model.pre_channel.cm, core)
+        assert np.array_equal(eb_multimode_cm(sol, v_s, v_m, k), core)

@@ -3,9 +3,10 @@
 ``cli.run_sweep`` resolves every grid value to its point and then asks
 ``keyrate.key_rates`` for all rates at once.  These tests pin what that
 must not change: every row equals ``key_rate`` at its point, compared with
-``==``; individual and collective RR sweeps build no labelled state and
-check each closed-form matrix exactly once; and a failure is the one the
-point-by-point loop raises first.
+``==``; sweeps build no labelled state; individual sweeps check each
+closed-form matrix exactly once; collective DR stacks give each point the
+numbers of its labelled entanglement-based model; and a failure is the one
+the point-by-point loop raises first.
 """
 
 import dataclasses
@@ -17,7 +18,12 @@ import pytest
 from cvleak import cli, keyrate
 from cvleak.cli import SweepSpec, format_rows_csv, run_sweep
 from cvleak.gaussian import GaussianState, PhysicalityError, physical_covariance
-from cvleak.keyrate import key_rate, key_rates
+from cvleak.keyrate import (
+    build_purified_model,
+    holevo_bound,
+    key_rate,
+    key_rates,
+)
 from cvleak.optimize import optimize_vm
 from cvleak.scenarios import (
     ChannelModel,
@@ -119,14 +125,8 @@ def test_optimized_sweep_equals_point_by_point(scenario, protocol):
     assert rows == _point_by_point(scenario, channel, protocol, spec)
 
 
-STACKED = [
-    (scenario, protocol, axis)
-    for scenario, protocol, axis in _cases()
-    if protocol.attack == "individual" or protocol.direction == "RR"]
-
-
 class TestStackGuarantees:
-    @pytest.mark.parametrize("scenario, protocol, axis", STACKED,
+    @pytest.mark.parametrize("scenario, protocol, axis", list(_cases()),
                              ids=_case_id)
     def test_no_labelled_state(self, monkeypatch, scenario, protocol, axis):
         built = []
@@ -205,6 +205,44 @@ class TestMixedKinds:
         if protocol.attack == "individual":
             # Both kinds share one closed-form stack.
             assert checked == [len(points)]
+
+
+class TestDrLayouts:
+    """Collective DR points of mixed entanglement-based layouts in one
+    call (leakage-mode count, heterodyne readout at v_s = 1, side-channel
+    twin at v_es > 1, channel environment) give each point the chi and
+    v_b of its labelled model, bit for bit, from one stack per layout."""
+
+    SCENARIOS = [dataclasses.replace(MULTIMODE, leakage_variances=()),
+                 MULTIMODE,
+                 dataclasses.replace(MULTIMODE, leakage_variances=(0.5,) * 3),
+                 dataclasses.replace(MULTIMODE, v_s=1.0,
+                                     leakage_variances=(1.0,)),
+                 dataclasses.replace(PREMOD, v_es=1.0),
+                 dataclasses.replace(PREMOD, v_es=3.0),
+                 dataclasses.replace(PREMOD, v_s=1.0)]
+    CHANNELS = [ChannelModel(eta=1.0), ChannelModel(eta=0.4),
+                ChannelModel(eta=0.4, epsilon=0.01)]
+
+    def test_stack_equals_labelled_model(self, monkeypatch):
+        points = [(sc, ch) for ch in self.CHANNELS for sc in self.SCENARIOS]
+        stacks = []
+        original = keyrate._purity_clamps
+
+        def counted(pre):
+            stacks.append(len(pre))
+            return original(pre)
+
+        monkeypatch.setattr(keyrate, "_purity_clamps", counted)
+        reports = key_rates(points, PROTOCOLS[3])
+        # Five EB layouts (the three multimode scenarios without a
+        # heterodyne readout share one) times three channel environments.
+        assert sorted(stacks) == [1] * 12 + [3] * 3
+        for (sc, ch), report in zip(points, reports):
+            model = build_purified_model(sc, ch)
+            assert report.eve_information == holevo_bound(model, "DR")
+            assert (report.conditional_variances["v_b"]
+                    == model.state.variance("B", "x"))
 
 
 class TestFailureOrder:
