@@ -41,6 +41,7 @@ import numpy as np
 # at 1e-8, serialization round-trips at 1e-12.
 SYMMETRY_RTOL = 1e-12
 PHYSICALITY_ATOL = 1e-9
+PHYSICALITY_TOL_CAP = 0.5
 ENTROPY_NU_CLAMP = 1e-6
 
 
@@ -66,12 +67,16 @@ def physicality_tolerance(cm: np.ndarray):
     floating point already perturbs its unit symplectic eigenvalues by
     about eps V^2 (the nu^2 = V^2 - (V^2 - 1) cancellation), so states with
     huge variances cannot be certified tighter than that.  For matrices of
-    order unity this reduces to the 1e-9 physicality floor.  One float for
-    one matrix, an array of them for a stack.
+    order unity this reduces to the 1e-9 physicality floor.  The tolerance
+    never exceeds PHYSICALITY_TOL_CAP, so that an eigenvalue far below 1
+    is rejected at any scale; entries are clipped at 1e150 first, whose
+    square would otherwise overflow.  One float for one matrix, an array
+    of them for a stack.
     """
-    scale = _largest_entry(cm)
-    tol = np.maximum(PHYSICALITY_ATOL,
-                     4.0 * np.finfo(float).eps * scale * scale)
+    scale = np.minimum(_largest_entry(cm), 1e150)
+    tol = np.minimum(np.maximum(PHYSICALITY_ATOL,
+                                4.0 * np.finfo(float).eps * scale * scale),
+                     PHYSICALITY_TOL_CAP)
     return tol if cm.ndim > 2 else float(tol)
 
 
@@ -99,7 +104,7 @@ def physical_covariance(cm: np.ndarray,
             first = nu_min.reshape(-1)[below.reshape(-1)][0]
             raise PhysicalityError(
                 f"uncertainty principle violated: min symplectic "
-                f"eigenvalue {first!r} < 1")
+                f"eigenvalue {float(first)!r} < 1")
     return cm
 
 

@@ -1,12 +1,29 @@
 """Parameter optimization and security-boundary root finding.
 
-Golden-section search for the unimodal one-dimensional maximizations
-(modulation variance, signal squeezing with nested modulation) and a
-doubling bracket followed by bisection for zero crossings (secure distance,
-maximal tolerable leakage ratio).  Every probed value enters the scenario
-and channel through :func:`~cvleak.scenarios.with_parameter`.  Brackets and
-tolerances are the module constants below.  All searches are deterministic
-for identical inputs.
+Which search runs where:
+
+* modulation variance (:func:`optimize_vm`): Brent's bounded method
+  (:func:`brent_max`) on u = ln v_m, for every protocol except collective
+  direct reconciliation (DR).  The rate is smooth in v_m, so parabolic
+  steps find an interior maximum (collective attacks with beta < 1) in
+  about 17 rate evaluations where golden section takes 37; the log scale
+  lets one search cover the six decades of ``VM_BRACKET`` evenly.  A rate
+  monotone in v_m (individual attacks, beta = 1) peaks at a bracket edge,
+  where parabolas do not help and the search takes about 41 evaluations.
+* collective DR modulation: golden section (:func:`golden_section_max`) on
+  v_m itself.  Its entanglement-based Holevo bound carries noise of about
+  1e-4 bit, and parabolas fitted through noise move the argmax: the same
+  Brent search moved premodulation DR secure distances by up to 0.23 km
+  (43 of 48 beyond 0.02 km or 1e-4 bit).
+* signal squeezing (:func:`optimize_squeezing`): golden section on v_s,
+  with the modulation re-optimized at every candidate;
+* zero crossings (secure distance, maximal tolerable leakage ratio): a
+  doubling bracket, then bisection.
+
+Every probed value enters the scenario and channel through
+:func:`~cvleak.scenarios.with_parameter`.  Brackets and tolerances are the
+module constants below.  All searches are deterministic for identical
+inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +34,9 @@ from dataclasses import dataclass
 
 from .keyrate import key_rate, key_rate_individual
 from .scenarios import (
+    ATTACK_COLLECTIVE,
     ATTACK_INDIVIDUAL,
+    DIRECTION_DR,
     ChannelModel,
     MultimodeLeakageScenario,
     ProtocolChoice,
@@ -36,6 +55,7 @@ K_TOL = 1e-4
 STRONG_MODULATION_VM = 1e6
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEP = 1.0 - _GOLDEN
 
 
 @dataclass(frozen=True)
@@ -85,6 +105,75 @@ def golden_section_max(f, lo: float, hi: float,
                               bracket=(lo, hi), converged=True)
 
 
+def brent_max(f, lo: float, hi: float, tol: float) -> OptimizationResult:
+    """Brent's bounded maximization on [lo, hi] to absolute tolerance tol.
+
+    R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
+    ch. 5, the method of ``scipy.optimize.fminbound``: a parabola through
+    the three best points so far proposes each step, and a golden-section
+    step into the larger side of the bracket replaces it when it falls
+    outside the bracket or does not shrink fast enough.  No probe lies
+    closer than tol / 2 to the best point.  The search stops when the best
+    point lies within tol of both ends of the bracket that holds the
+    maximum of a unimodal f; a monotone f converges to within tol of the
+    corresponding edge.
+
+    x is the best point probed and value is f there (no further
+    evaluation); iterations counts the steps after the first probe, one
+    evaluation of f each.
+    """
+    if not hi > lo:
+        raise ValueError("empty bracket")
+    step_min = 0.5 * tol
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = f(x)
+    # d is the last step, e the one before it.
+    d = e = 0.0
+    iterations = 0
+    while max(x - a, b - x) > tol:
+        iterations += 1
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step_min:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # The vertex x + p / q must lie inside the bracket, and the
+            # step must be less than half the step before last.
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                e, d = d, p / q
+                if x + d - a < tol or b - (x + d) < tol:
+                    d = step_min if mid >= x else -step_min
+        if not parabolic:
+            e = (a if x >= mid else b) - x
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= step_min else math.copysign(step_min, d))
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return OptimizationResult(x=x, value=fx, iterations=iterations,
+                              bracket=(lo, hi), converged=True)
+
+
 def bisect_zero(f, lo: float, hi: float, tol: float,
                 f_lo: float | None = None,
                 f_hi: float | None = None) -> OptimizationResult:
@@ -114,17 +203,32 @@ def optimize_vm(scenario, channel: ChannelModel, protocol: ProtocolChoice,
                 ) -> OptimizationResult:
     """Maximize the key rate over the modulation variance.
 
-    Golden-section search on ``bracket`` to VM_TOL.  With perfect
-    post-processing the collective rate grows monotonically in v_m and the
-    search lands at the upper bracket edge; any beta < 1 produces an
-    interior optimum.  An everywhere-negative objective still converges and
-    reports the (negative) best value.
+    The argmax is located to VM_TOL in v_m over the whole ``bracket``,
+    which must satisfy 0 < lo < hi < inf (else ValueError).  Collective DR
+    runs a golden-section search on v_m; every other protocol runs
+    :func:`brent_max` on ln v_m to VM_TOL / hi, and reports the best v_m
+    probed with the rate there (see the module docstring for why).  With
+    perfect post-processing the collective rate grows monotonically in v_m
+    and the search lands at the upper bracket edge; any beta < 1 produces
+    an interior optimum.  An everywhere-negative objective still converges
+    and reports the (negative) best value.
     """
+    lo, hi = bracket
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"v_m bracket must satisfy 0 < lo < hi < inf, "
+                         f"got {bracket}")
+
     def objective(v_m):
         sc, ch = with_parameter(scenario, channel, "v_m", v_m)
         return key_rate(sc, ch, protocol).rate
 
-    return golden_section_max(objective, bracket[0], bracket[1], VM_TOL)
+    if (protocol.direction == DIRECTION_DR
+            and protocol.attack == ATTACK_COLLECTIVE):
+        return golden_section_max(objective, lo, hi, VM_TOL)
+    result = brent_max(lambda u: objective(math.exp(u)), math.log(lo),
+                       math.log(hi), VM_TOL / hi)
+    return dataclasses.replace(result, x=math.exp(result.x),
+                               bracket=(lo, hi))
 
 
 def optimize_squeezing(scenario, channel: ChannelModel,
@@ -161,7 +265,7 @@ def _expand_and_bisect(f, f_zero: float, first: float, cap: float,
     already known at both of its ends.  If f is still positive at cap the
     result is unconverged, with x at the last probe.
     """
-    lo, f_lo, hi = 0.0, f_zero, first
+    lo, f_lo, hi = 0.0, f_zero, min(first, cap)
     f_hi = f(hi)
     iterations = 0
     while f_hi > 0.0 and hi < cap:
@@ -189,7 +293,12 @@ def secure_distance(scenario, protocol: ProtocolChoice,
     DISTANCE_TOL_KM.  Returns 0 km when the protocol is already insecure at
     contact, and the probe cap with converged False when the rate is still
     positive at d_max (the true distance is then only lower bounded).
+    A d_max that is not finite and positive raises ScenarioError.
     """
+    if not 0.0 < d_max < math.inf:
+        raise ScenarioError(f"d_max must be finite and positive, "
+                            f"got {d_max}")
+
     def rate_at(d_km):
         sc, ch = with_parameter(scenario, channel_template, "distance_km",
                                 d_km)

@@ -6,8 +6,9 @@ rates, 0.02 km on distances) as incorrect.  These tests rerun a prefix of
 each workload in-process through the benchmark's own entry point and
 comparison, so that a change which moves outputs fails here first.  The
 prefixes keep the run to a few seconds: all reference operations of the
-sweeps, and the first eight secure-distance solves of seeds 1 and 2, which
-visit every solve slot (premodulation DR included) twice per seed.
+sweeps, and the first eight secure-distance solves of seeds 1 to 5, which
+visit every solve slot (premodulation DR included) twice per seed, ten
+times in all.
 """
 
 import pytest
@@ -17,7 +18,7 @@ from perfbench import checks, worker, workloads
 
 CASES = ([("individual-sweep", seed, 128) for seed in range(1, 11)]
          + [("collective-sweep", seed, 192) for seed in range(1, 11)]
-         + [("distance-solve", seed, 8) for seed in (1, 2)])
+         + [("distance-solve", seed, 8) for seed in range(1, 6)])
 
 
 @pytest.mark.parametrize("workload, seed, n_ops", CASES)

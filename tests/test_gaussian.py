@@ -1,11 +1,13 @@
 """Unit tests for the Gaussian covariance algebra."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cvleak.gaussian import (
+    PHYSICALITY_TOL_CAP,
     GaussianState,
     ModeError,
     PhysicalityError,
@@ -21,6 +23,8 @@ from cvleak.gaussian import (
     homodyne_condition,
     parse_matrix_snapshot,
     partial_trace,
+    physical_covariance,
+    physicality_tolerance,
     symplectic_eigenvalues,
     symplectic_form,
     von_neumann_entropy,
@@ -82,8 +86,19 @@ class TestStateConstruction:
             GaussianState(("a",), cm)
 
     def test_unphysical_matrix_rejected(self):
-        with pytest.raises(PhysicalityError):
+        with pytest.raises(PhysicalityError,
+                           match=r"eigenvalue 0\.5\d* < 1"):
             GaussianState(("a",), 0.5 * np.eye(2))
+
+    def test_huge_entries_do_not_disable_the_check(self):
+        # 4 eps V^2 overflows for V = 1e200; the tolerance stays capped,
+        # so a symplectic eigenvalue of 1e-50 is still rejected.
+        cm = np.diag([1e200, 1e-300])
+        assert physicality_tolerance(cm) == PHYSICALITY_TOL_CAP
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicalityError, match=r"eigenvalue 1e-50 <"):
+                physical_covariance(cm)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ModeError):

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from cvleak.keyrate import key_rate_collective, multimode_asymptotics
+from cvleak import optimize
+from cvleak.keyrate import key_rate, key_rate_collective, multimode_asymptotics
 from cvleak.optimize import (
+    VM_BRACKET,
+    VM_TOL,
     bisect_zero,
+    brent_max,
     golden_section_max,
     max_tolerable_k,
     optimize_squeezing,
@@ -20,6 +24,7 @@ from cvleak.scenarios import (
     PremodLeakageScenario,
     ProtocolChoice,
     ScenarioError,
+    with_parameter,
 )
 
 
@@ -48,6 +53,35 @@ class TestSearchPrimitives:
     def test_bisect_needs_sign_change(self):
         with pytest.raises(ValueError):
             bisect_zero(lambda x: 1.0 + x, 0.0, 3.0, 1e-8)
+
+    def test_brent_finds_quadratic_maximum(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -(x - 2.3) ** 2
+        result = brent_max(f, 0.0, 10.0, 1e-6)
+        # Three golden-section probes, then a parabola through them is
+        # exact; two steps of tol / 2 close the bracket around its vertex.
+        assert len(calls) == result.iterations + 1 == 6
+        assert result.x == pytest.approx(2.3, abs=1e-6)
+        assert result.value == f(result.x)
+        assert result.converged and result.bracket == (0.0, 10.0)
+
+    def test_brent_monotone_lands_within_tol_of_edge(self):
+        for f, edge in ((lambda x: x, 5.0), (lambda x: -x, 0.0)):
+            result = brent_max(f, 0.0, 5.0, 1e-6)
+            assert abs(result.x - edge) <= 1e-6
+            assert 0.0 < result.x < 5.0
+
+    def test_brent_negative_everywhere(self):
+        result = brent_max(lambda x: -3.0 - math.cos(x), 0.0, 6.0, 1e-5)
+        assert result.x == pytest.approx(math.pi, abs=1e-5)
+        assert result.value == pytest.approx(-2.0, abs=1e-9)
+
+    def test_brent_empty_bracket(self):
+        with pytest.raises(ValueError):
+            brent_max(lambda x: x, 1.0, 1.0, 1e-6)
 
 
 class TestOptimizeVm:
@@ -86,6 +120,105 @@ class TestOptimizeVm:
                              ChannelModel(eta=0.05, epsilon=0.05), proto)
         assert result.converged
         assert result.value < 0.0
+
+
+def _vm_objective(scenario, channel, protocol):
+    def objective(v_m):
+        sc, ch = with_parameter(scenario, channel, "v_m", v_m)
+        return key_rate(sc, ch, protocol).rate
+    return objective
+
+
+def _counted_optimize_vm(monkeypatch, scenario, channel, protocol):
+    """optimize_vm and the number of rates its objective evaluated."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return key_rate(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "key_rate", counted)
+        result = optimize_vm(scenario, channel, protocol)
+    return result, len(calls)
+
+
+def _search_points(betas):
+    """Fixed (scenario, channel) points: both scenarios, a range of
+    squeezing, leakage and loss, excess noise 0 and > 0 where the protocol
+    allows it."""
+    rng = np.random.default_rng(2023)
+    points = []
+    for i in range(8):
+        v_s = float(rng.uniform(0.1, 1.0))
+        if i % 2:
+            sc = multimode(v_s=v_s, k=float(rng.uniform(0.0, 1.2)))
+        else:
+            sc = PremodLeakageScenario(v_s=v_s, v_m=1.0,
+                                       eta_e=float(rng.uniform(0.5, 1.0)))
+        eta = float(rng.uniform(0.1, 0.9))
+        for beta in betas:
+            epsilons = (0.0,) if beta == 1.0 else (
+                0.0, float(rng.uniform(0.005, 0.03)))
+            for eps in epsilons:
+                points.append((sc, ChannelModel(eta=eta, epsilon=eps),
+                               beta))
+    return points
+
+
+class TestVmSearchRoutes:
+    """Brent's method on ln v_m, except collective DR (golden section)."""
+
+    @pytest.mark.parametrize("bracket", [(0.0, 10.0), (-1.0, 10.0),
+                                         (10.0, 10.0), (10.0, 1.0),
+                                         (1.0, math.inf)])
+    def test_bad_bracket_rejected(self, bracket):
+        proto = ProtocolChoice("RR", "collective", 0.95)
+        with pytest.raises(ValueError, match="bracket"):
+            optimize_vm(multimode(), ChannelModel(eta=0.5), proto,
+                        bracket=bracket)
+
+    @pytest.mark.parametrize("scenario", [
+        multimode(v_s=0.6, k=0.4),
+        PremodLeakageScenario(v_s=0.6, v_m=4.0, eta_e=0.8)])
+    def test_collective_dr_is_golden_section(self, scenario):
+        proto = ProtocolChoice("DR", "collective", 0.95)
+        ch = ChannelModel(eta=0.8, epsilon=0.01)
+        golden = golden_section_max(_vm_objective(scenario, ch, proto),
+                                    *VM_BRACKET, VM_TOL)
+        assert optimize_vm(scenario, ch, proto) == golden
+
+    def test_interior_optima_in_few_rates(self, monkeypatch):
+        # Collective RR with beta < 1: the rate peaks inside the bracket,
+        # where golden section takes 37 rates per search.
+        counts = []
+        for sc, ch, beta in _search_points((0.9, 0.95)):
+            proto = ProtocolChoice("RR", "collective", beta)
+            result, n = _counted_optimize_vm(monkeypatch, sc, ch, proto)
+            golden = golden_section_max(_vm_objective(sc, ch, proto),
+                                        *VM_BRACKET, VM_TOL)
+            assert VM_BRACKET[0] < golden.x < VM_BRACKET[1] - 1.0
+            assert result.value >= golden.value - 1e-7
+            assert abs(result.x - golden.x) <= 1e-2 * golden.x
+            counts.append(n)
+        assert len(counts) == 32
+        assert np.mean(counts) <= 18.0
+
+    def test_edge_optima_match_golden_section(self, monkeypatch):
+        # Individual attacks and beta = 1 rates are monotone in v_m, so the
+        # optimum is a bracket edge.  Parabolas do not help there: the
+        # search closes on the edge by golden-section steps on ln v_m.
+        protocols = (ProtocolChoice("RR", "individual", 1.0),
+                     ProtocolChoice("DR", "individual", 1.0),
+                     ProtocolChoice("RR", "collective", 1.0))
+        for sc, ch, _ in _search_points((1.0,)):
+            for proto in protocols:
+                result, n = _counted_optimize_vm(monkeypatch, sc, ch, proto)
+                golden = golden_section_max(_vm_objective(sc, ch, proto),
+                                            *VM_BRACKET, VM_TOL)
+                edge = min(VM_BRACKET, key=lambda e: abs(e - golden.x))
+                assert abs(result.x - edge) <= VM_TOL
+                assert result.value >= golden.value - 1e-7
+                assert n <= 44
 
 
 class TestOptimizeSqueezing:
@@ -181,6 +314,22 @@ class TestSecureDistance:
         assert not result.converged
         assert result.x == pytest.approx(80.0)
         assert result.value > 0.0
+
+    def test_cap_below_first_probe(self):
+        proto = ProtocolChoice("RR", "collective", 0.95)
+        result = secure_distance(multimode(v_s=0.5, v_m=1.0, k=0.2), proto,
+                                 ChannelModel(eta=1.0, epsilon=0.01),
+                                 d_max=1.0)
+        assert result.x == 1.0
+        assert not result.converged
+        assert result.value > 0.0
+
+    @pytest.mark.parametrize("d_max", [0.0, -5.0, math.nan, math.inf])
+    def test_bad_cap_rejected_by_name(self, d_max):
+        proto = ProtocolChoice("RR", "collective", 0.95)
+        with pytest.raises(ScenarioError, match="d_max"):
+            secure_distance(multimode(), proto, ChannelModel(eta=1.0),
+                            d_max=d_max)
 
     def test_bisection_tolerance(self):
         proto = ProtocolChoice("RR", "collective", 0.97)
